@@ -6,7 +6,7 @@ SED) or by a per-LB soft actor-critic agent that learns server speed
 estimates from purely local observations.
 """
 
-from .agent import SacAgent, SacConfig, SacPolicy, action_to_speeds, build_observation
+from .agent import SacAgent, SacConfig, SacPolicy, action_to_speeds, observe
 from .engine import (
     ConfigurationError,
     EpisodeTrace,

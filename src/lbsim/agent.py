@@ -1,8 +1,8 @@
 """Per-LB soft actor-critic agent.
 
 Each load balancer owns one agent: observation assembly from its local view,
-a ring replay buffer, an actor/critic pair with slowly-tracking guiding
-copies, and automatic entropy-temperature tuning.  At every step boundary
+a ring replay buffer, an actor, a critic with a slowly-tracking guiding copy,
+and automatic entropy-temperature tuning.  At every step boundary
 the agent observes, stores a transition, optionally performs one gradient
 update, samples a fresh action, and maps it to per-server speed weights for
 the dispatch rule; between boundaries the weights stay frozen while ongoing
@@ -10,15 +10,14 @@ counts move per dispatch.
 
 The value target follows the stated critic gradient: y = r + gamma *
 (Q_guiding(s', a') - alpha * log pi(a'|s')) with a' freshly sampled from the
-current actor.  The guiding actor is instantiated and soft-updated but not
-used in the target unless explicitly configured.
+current actor.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,8 +29,10 @@ LB_FEATURES = 5
 SERVER_FEATURES = 11          # duration stats (5) + TCT stats (5) + ongoing count
 SERVER_FEATURES_STRICT = 6    # TCT stats (5) + ongoing count
 SPEED_FLOOR = 0.05
+# A checkpoint holds one .nn file per network and part: <net>.<part>.nn.
+CHECKPOINT_PARTS = (("lb", "lb_enc"), ("server", "srv_enc"), ("head", "head"))
 
-# The actor's log-std output is squashed into this range by default.  While
+# The actor's log-std output is squashed into this range.  While
 # alpha > 0 the entropy term pushes the log-std up, and the critic's action
 # signal is too weak to push back (one step's speed ratio moves the
 # discounted return by under 0.005), so sigma sits at the ceiling and the
@@ -53,15 +54,7 @@ class SacConfig:
     hidden: int = 64
     updates_per_step: int = 1
     log_alpha_init: float = math.log(0.2)
-    log_std_init: float = 0.0          # initial bias of the log-std head output
-    log_std_bounds: tuple = (ACTOR_LOG_STD_LO, ACTOR_LOG_STD_HI)
-    alpha_learning_rate: Optional[float] = None  # None: same as learning_rate
-    actor_weight_decay: float = 0.0
-    target_entropy: Optional[float] = None   # default: -(number of servers)
     include_duration: bool = True
-    reward_index: str = "jain"
-    reward_literal: bool = False
-    value_target_uses_guiding_actor: bool = False
 
 
 @dataclass(frozen=True)
@@ -140,10 +133,6 @@ def observe(view, now: float, include_duration: bool = True):
     return np.concatenate(parts), w_tilde
 
 
-def build_observation(view, now: float, include_duration: bool = True) -> np.ndarray:
-    return observe(view, now, include_duration)[0]
-
-
 def action_to_speeds(a: np.ndarray) -> np.ndarray:
     """Map a squashed action in (-1,1)^n to positive speed weights.
 
@@ -203,14 +192,12 @@ class ActorNet:
     """
 
     def __init__(self, n_servers: int, lb_dim: int, srv_dim: int, hidden: int,
-                 rng: np.random.Generator, head_out: int = 2, action_input: bool = False,
-                 log_std_bounds: tuple = (ACTOR_LOG_STD_LO, ACTOR_LOG_STD_HI)):
+                 rng: np.random.Generator, head_out: int = 2, action_input: bool = False):
         self.n = n_servers
         self.lb_dim = lb_dim
         self.srv_dim = srv_dim
         self.hidden = hidden
-        self.action_input = action_input
-        self.log_std_bounds = log_std_bounds
+        self.log_std_bounds = (ACTOR_LOG_STD_LO, ACTOR_LOG_STD_HI)
         head_in = 2 * hidden + (1 if action_input else 0)
         self.lb_enc = nets.DenseNet.build([lb_dim, hidden, hidden], rng)
         self.srv_enc = nets.DenseNet.build([srv_dim, hidden, hidden], rng)
@@ -267,11 +254,10 @@ class ActorNet:
         d_head_in, g_head = self.head.backward(d_out)
         return self._unwind(d_head_in) + g_head
 
-    def copy(self) -> "ActorNet":
-        dup = object.__new__(ActorNet)
-        dup.n, dup.lb_dim, dup.srv_dim = self.n, self.lb_dim, self.srv_dim
-        dup.hidden, dup.action_input = self.hidden, self.action_input
-        dup.log_std_bounds = self.log_std_bounds
+    def copy(self):
+        """Same class and shape with its own parameters (CriticNet too)."""
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__)
         dup.lb_enc = self.lb_enc.copy()
         dup.srv_enc = self.srv_enc.copy()
         dup.head = self.head.copy()
@@ -303,27 +289,13 @@ class CriticNet(ActorNet):
         d_action = d_head_in[:, -1].reshape(self._batch, self.n)
         return self._unwind(d_head_in[:, :-1]) + g_head, d_action
 
-    def copy(self) -> "CriticNet":
-        dup = object.__new__(CriticNet)
-        dup.n, dup.lb_dim, dup.srv_dim = self.n, self.lb_dim, self.srv_dim
-        dup.hidden, dup.action_input = self.hidden, self.action_input
-        dup.log_std_bounds = self.log_std_bounds
-        dup.lb_enc = self.lb_enc.copy()
-        dup.srv_enc = self.srv_enc.copy()
-        dup.head = self.head.copy()
-        dup._batch = 0
-        return dup
-
 
 class SacModel:
-    """Actor, critic, their guiding (slow) copies, and the entropy temperature."""
+    """Actor, critic, the critic's guiding (slow) copy, and the entropy temperature."""
 
     def __init__(self, n_servers: int, srv_dim: int, hidden: int,
-                 rng: np.random.Generator, log_alpha_init: float,
-                 log_std_init: float = 0.0,
-                 log_std_bounds: tuple = (ACTOR_LOG_STD_LO, ACTOR_LOG_STD_HI)):
-        self.actor = ActorNet(n_servers, LB_FEATURES, srv_dim, hidden, rng,
-                              log_std_bounds=log_std_bounds)
+                 rng: np.random.Generator, log_alpha_init: float):
+        self.actor = ActorNet(n_servers, LB_FEATURES, srv_dim, hidden, rng)
         self.critic = CriticNet(n_servers, LB_FEATURES, srv_dim, hidden, rng)
         # Small policy-head init: the policy starts as a near-constant
         # function of the observation and earns its reactivity through
@@ -331,10 +303,6 @@ class SacModel:
         # feature from step one, and that reactivity feeds the dispatch loop
         # (counts -> action -> counts) as oscillation.
         self.actor.head.layers[-1].w *= 0.01
-        # the head's second output column is the log-std; biasing it sets the
-        # starting exploration scale
-        self.actor.head.layers[-1].b[1] = log_std_init
-        self.guiding_actor = self.actor.copy()
         self.guiding_critic = self.critic.copy()
         self.log_alpha = np.array([log_alpha_init])
 
@@ -346,35 +314,38 @@ class SacModel:
 class SacAgent:
     """One learning load balancer: local observations in, speed weights out."""
 
-    def __init__(self, n_servers: int, config: SacConfig, seed: int, lb_id: int = 0):
+    def __init__(self, n_servers: int, config: SacConfig, seed: int, lb_id: int = 0,
+                 reward_index: str = "jain", reward_literal: bool = False):
         self.n = n_servers
         self.config = config
         self.lb_id = lb_id
+        self.reward_index = reward_index
+        self.reward_literal = reward_literal
         init_rng, self.noise_rng, replay_rng = (
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, lb_id, k)))
             for k in range(3))
         srv_dim = SERVER_FEATURES if config.include_duration else SERVER_FEATURES_STRICT
         self.obs_dim = LB_FEATURES + srv_dim * n_servers
         self.model = SacModel(n_servers, srv_dim, config.hidden, init_rng,
-                              config.log_alpha_init, config.log_std_init,
-                              config.log_std_bounds)
+                              config.log_alpha_init)
         self.normalizer = ObservationNormalizer(n_servers, srv_dim)
         self.buffer = ReplayBuffer(config.buffer_capacity, self.obs_dim, n_servers,
                                    replay_rng)
-        lr = config.learning_rate
-        self.actor_opt = nets.Adam(self.model.actor.params(), lr=lr,
-                                   weight_decay=config.actor_weight_decay)
-        self.critic_opt = nets.Adam(self.model.critic.params(), lr=lr)
-        alpha_lr = config.alpha_learning_rate if config.alpha_learning_rate else lr
-        self.alpha_opt = nets.Adam([self.model.log_alpha], lr=alpha_lr)
-        self.target_entropy = (config.target_entropy if config.target_entropy is not None
-                               else -float(n_servers))
+        self._build_optimizers()
+        self.target_entropy = -float(n_servers)
         self.prev_obs: Optional[np.ndarray] = None
         self.prev_action: Optional[np.ndarray] = None
         self.training = True
         self.total_steps = 0
         self.total_updates = 0
         self.dump_dir: Optional[str] = None
+
+    def _build_optimizers(self) -> None:
+        """Fresh Adam state for the actor, the critic and the temperature."""
+        lr = self.config.learning_rate
+        self.actor_opt = nets.Adam(self.model.actor.params(), lr=lr)
+        self.critic_opt = nets.Adam(self.model.critic.params(), lr=lr)
+        self.alpha_opt = nets.Adam([self.model.log_alpha], lr=lr)
 
     @property
     def alpha(self) -> float:
@@ -391,8 +362,7 @@ class SacAgent:
         """
         obs, w_tilde = observe(view, now, self.config.include_duration)
         self.normalizer.update(obs)
-        reward = metrics.reward(w_tilde, self.config.reward_index,
-                                self.config.reward_literal)
+        reward = metrics.reward(w_tilde, self.reward_index, self.reward_literal)
         if self.prev_obs is not None:
             self.buffer.push(Transition(self.prev_obs, self.prev_action, reward,
                                         obs, False))
@@ -409,8 +379,7 @@ class SacAgent:
         """Close the episode: store the terminal transition (done=True)."""
         obs, w_tilde = observe(view, now, self.config.include_duration)
         self.normalizer.update(obs)
-        reward = metrics.reward(w_tilde, self.config.reward_index,
-                                self.config.reward_literal)
+        reward = metrics.reward(w_tilde, self.reward_index, self.reward_literal)
         if self.prev_obs is not None:
             self.buffer.push(Transition(self.prev_obs, self.prev_action, reward,
                                         obs, True))
@@ -446,9 +415,7 @@ class SacAgent:
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
         s2 = self.normalizer.normalize(batch.next_state)
-        source = (self.model.guiding_actor
-                  if self.config.value_target_uses_guiding_actor else self.model.actor)
-        mean2, log_std2 = source.forward(s2)
+        mean2, log_std2 = self.model.actor.forward(s2)
         a2, logp2 = nets.gaussian_head_sample(mean2, log_std2, noise)
         q_next = self.model.guiding_critic.forward(s2, a2)
         return batch.reward + self.config.gamma * (1.0 - batch.done) * (
@@ -513,25 +480,23 @@ class SacAgent:
         return self.alpha
 
     def soft_update(self) -> None:
-        """Guiding copies track the mains: g <- (1-tau) g + tau main."""
+        """The guiding critic tracks the critic: g <- (1-tau) g + tau main."""
         tau = self.config.tau
-        for guiding, main in ((self.model.guiding_actor, self.model.actor),
-                              (self.model.guiding_critic, self.model.critic)):
-            for dst, src in zip(guiding.params(), main.params()):
-                dst *= 1.0 - tau
-                dst += tau * src
+        for dst, src in zip(self.model.guiding_critic.params(), self.model.critic.params()):
+            dst *= 1.0 - tau
+            dst += tau * src
 
     # -- persistence --------------------------------------------------------
 
+    def _checkpoint_nets(self) -> dict:
+        return {"actor": self.model.actor, "critic": self.model.critic,
+                "guiding_critic": self.model.guiding_critic}
+
     def save_checkpoint(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
-        named = {"actor": self.model.actor, "critic": self.model.critic,
-                 "guiding_actor": self.model.guiding_actor,
-                 "guiding_critic": self.model.guiding_critic}
-        for name, net in named.items():
-            for part, dense in (("lb", net.lb_enc), ("server", net.srv_enc),
-                                ("head", net.head)):
-                nets.save_net(os.path.join(directory, f"{name}.{part}.nn"), dense)
+        for name, net in self._checkpoint_nets().items():
+            for part, attr in CHECKPOINT_PARTS:
+                nets.save_net(os.path.join(directory, f"{name}.{part}.nn"), getattr(net, attr))
         manifest = {
             "n_servers": self.n,
             "obs_dim": self.obs_dim,
@@ -550,19 +515,14 @@ class SacAgent:
             manifest = json.load(fh)
         if manifest["obs_dim"] != self.obs_dim or manifest["n_servers"] != self.n:
             raise ValueError("checkpoint shape does not match this agent")
-        named = {"actor": self.model.actor, "critic": self.model.critic,
-                 "guiding_actor": self.model.guiding_actor,
-                 "guiding_critic": self.model.guiding_critic}
-        for name, net in named.items():
-            for part, attr in (("lb", "lb_enc"), ("server", "srv_enc"), ("head", "head")):
+        for name, net in self._checkpoint_nets().items():
+            for part, attr in CHECKPOINT_PARTS:
                 setattr(net, attr, nets.load_net(os.path.join(directory, f"{name}.{part}.nn")))
         self.model.log_alpha[0] = manifest["log_alpha"]
         self.total_steps = manifest["total_steps"]
         self.total_updates = manifest["total_updates"]
         self.normalizer.load_state(manifest["normalizer"])
-        self.actor_opt = nets.Adam(self.model.actor.params(), lr=self.config.learning_rate)
-        self.critic_opt = nets.Adam(self.model.critic.params(), lr=self.config.learning_rate)
-        self.alpha_opt = nets.Adam([self.model.log_alpha], lr=self.config.learning_rate)
+        self._build_optimizers()
 
 
 class SacPolicy(Policy):

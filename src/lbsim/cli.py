@@ -8,31 +8,32 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import harness
+from . import harness, metrics
 from .engine import ConfigurationError
 
 
+def _load(path: str):
+    config, warnings = harness.load_config(path)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return config
+
+
 def _apply_run_overrides(args, config):
+    # an unknown --policy is rejected by build_policies before any file is written
     if args.policy is not None:
-        if args.policy not in harness.POLICY_NAMES:
-            raise ConfigurationError(f"unknown policy {args.policy!r}")
         config = replace(config, policy=args.policy)
     if args.reward is not None:
-        config = replace(config, reward_index=args.reward,
-                         sac=replace(config.sac, reward_index=args.reward))
+        config = replace(config, reward_index=args.reward)
     if args.reward_literal:
-        config = replace(config, reward_literal=True,
-                         sac=replace(config.sac, reward_literal=True))
+        config = replace(config, reward_literal=True)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config
 
 
 def _cmd_run(args) -> int:
-    config, warnings = harness.load_config(args.config)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    config = _apply_run_overrides(args, config)
+    config = _apply_run_overrides(args, _load(args.config))
     result = harness.run_experiment(config, seed=args.seed)
     last = result.summaries[-1]
     print(f"run complete: policy={config.policy} seed={result.seed} "
@@ -44,18 +45,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(raw, conv):
-    return tuple(conv(x) for x in raw.split(",") if x.strip())
-
-
 def _cmd_sweep(args) -> int:
-    config, warnings = harness.load_config(args.config)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    config = _load(args.config)
     manifest_rates, manifest_policies, manifest_seeds = harness.load_sweep_lists(args.config)
-    rates = _parse_list(args.rates, float) if args.rates else manifest_rates
-    policies = _parse_list(args.policies, str) if args.policies else manifest_policies
-    seeds = _parse_list(args.seeds, int) if args.seeds else manifest_seeds
+    rates = harness.float_list(args.rates) if args.rates else manifest_rates
+    policies = harness.str_list(args.policies) if args.policies else manifest_policies
+    seeds = harness.int_list(args.seeds) if args.seeds else manifest_seeds
     if not rates or not policies or not seeds:
         raise ConfigurationError(
             "sweep needs --rates/--policies/--seeds or a [sweep] section in the config")
@@ -71,9 +66,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config, warnings = harness.load_config(args.config)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    config = _load(args.config)
     print("config ok")
     print(harness.config_to_manifest(config), end="")
     return 0
@@ -89,7 +82,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--policy", default=None)
-    p_run.add_argument("--reward", choices=sorted(["jain", "g", "bossaer"]), default=None)
+    p_run.add_argument("--reward", choices=sorted(metrics.FAIRNESS_INDICES), default=None)
     p_run.add_argument("--reward-literal", action="store_true",
                        help="emit the literal 1 - F reward instead of F - 1")
     p_run.add_argument("--out", default=None)

@@ -73,10 +73,6 @@ class ServerState:
         self.last_update_time = 0.0
         self.token = 0
 
-    @property
-    def ongoing_count(self) -> int:
-        return len(self.in_service) + len(self.backlog)
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -84,7 +80,6 @@ class Topology:
 
     lbs: int
     servers: tuple
-    lb_routing_seed: int = 0
 
     def __post_init__(self):
         if self.lbs < 1:
@@ -177,7 +172,7 @@ class ChannelLog:
     accumulators are always maintained for reward computation.
     """
 
-    __slots__ = ("collect", "values", "times", "count", "_dsum", "_dweight", "_last_t")
+    __slots__ = ("collect", "values", "times", "count", "_dsum", "_last_t")
 
     def __init__(self, collect: bool):
         self.collect = collect
@@ -185,7 +180,6 @@ class ChannelLog:
         self.times: list = []
         self.count = 0
         self._dsum = 0.0
-        self._dweight = 0.0
         self._last_t = 0.0
 
     def add(self, value: float, now: float) -> None:
@@ -195,10 +189,8 @@ class ChannelLog:
         if self.count:
             decay = metrics.DISCOUNT_BASE ** (now - self._last_t)
             self._dsum = self._dsum * decay + value
-            self._dweight = self._dweight * decay + 1.0
         else:
             self._dsum = value
-            self._dweight = 1.0
         self._last_t = now
         self.count += 1
 
@@ -253,8 +245,6 @@ class EpisodeTrace:
     step_rows: list          # (time, lb_id, server_id, residual, ongoing, reward, fairness)
     tasks: list
     servers: list
-    duration: float
-    step_interval: float
     boundaries_per_lb: list
     completed: int
     fairness_per_boundary: list      # one value per boundary time
@@ -413,7 +403,9 @@ def run_episode(
             for j in range(n):
                 step_rows.append((time, lb, j, resid[j], ongoing[j], step_reward, fairness))
             boundaries[lb] += 1
-            nxt = time + step_interval
+            # k * step_interval, not time + step_interval: repeated addition
+            # drifts, e.g. 0.1 s steps over 10 s would add a 101st boundary
+            nxt = boundaries[lb] * step_interval
             if nxt < duration:
                 push(nxt, _STEP, lb)
 
@@ -428,8 +420,6 @@ def run_episode(
         step_rows=step_rows,
         tasks=list(arrivals),
         servers=servers,
-        duration=duration,
-        step_interval=step_interval,
         boundaries_per_lb=boundaries,
         completed=completed,
         fairness_per_boundary=fairness_per_boundary,

@@ -20,7 +20,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class ExperimentConfig:
     sac: SacConfig = field(default_factory=SacConfig)
 
     def topology(self, seed: int) -> Topology:
-        return Topology(self.lbs, self.servers, lb_routing_seed=seed)
+        return Topology(self.lbs, self.servers)
 
     def traffic_spec(self, seed: int) -> traffic.TrafficSpec:
         return traffic.TrafficSpec(self.rate_fraction, self.distribution,
@@ -127,7 +128,7 @@ def _parse_servers(text: str) -> tuple:
     return tuple(servers)
 
 
-def _get(parser, section, key, conv, default):
+def _get(parser, section, key, conv, default=None):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
@@ -146,16 +147,110 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _int_list(raw: str) -> tuple:
+def int_list(raw: str) -> tuple:
     return tuple(int(x) for x in raw.split(",") if x.strip())
 
 
-def _float_list(raw: str) -> tuple:
+def float_list(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(",") if x.strip())
 
 
-def _str_list(raw: str) -> tuple:
+def str_list(raw: str) -> tuple:
     return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+def _fmt_float(x: float) -> str:
+    return f"{x:.17g}"
+
+
+# Value kinds: (parse INI text, render for the manifest).  Floats render
+# with 17 significant digits so that a manifest reloads the exact doubles.
+_FLOAT = (float, _fmt_float)
+_INT = (int, str)
+_STR = (str.strip, str)
+_BOOL = (_bool, lambda b: str(b).lower())
+_NOT_BOOL = (lambda raw: not _bool(raw), lambda b: str(not b).lower())
+_INTS = (int_list, lambda xs: ",".join(str(x) for x in xs))
+_FLOATS = (float_list, lambda xs: ",".join(_fmt_float(x) for x in xs))
+_STRS = (str_list, ",".join)
+_SERVERS = (_parse_servers, lambda servers: ",".join(f"{p}:{cap}" for p, cap in servers))
+
+
+def _choice(*names):
+    def check(key, value):
+        if value not in names:
+            return f"unknown {key} {value!r}; available: {', '.join(names)}"
+    return check
+
+
+def _positive(key, value):
+    if value <= 0:
+        return f"{key} must be positive, got {value}"
+
+
+def _nonnegative(key, value):
+    if value < 0:
+        return f"{key} must be >= 0, got {value}"
+
+
+class Field(NamedTuple):
+    """One INI key: the attribute it sets, its (parse, render) kind, its check.
+
+    ``[sac]`` keys set SacConfig, all others ExperimentConfig; a key absent
+    from the text keeps the dataclass default.  A check returns an error
+    message or None.
+    """
+
+    section: str
+    key: str
+    attr: str
+    kind: tuple
+    check: Optional[Callable] = None
+
+    @property
+    def owner(self) -> type:
+        return SacConfig if self.section == "sac" else ExperimentConfig
+
+
+# Every config field, in manifest order.
+FIELDS = (
+    Field("topology", "lbs", "lbs", _INT),
+    Field("topology", "servers", "servers", _SERVERS),
+    Field("traffic", "rate", "rate_fraction", _FLOAT, _positive),
+    Field("traffic", "distribution", "distribution", _STR,
+          _choice(traffic.IDENTICAL, traffic.EXPONENTIAL)),
+    Field("traffic", "mean", "mean_workload", _FLOAT, _positive),
+    Field("run", "policy", "policy", _STR, _choice(*POLICY_NAMES)),
+    Field("run", "episodes", "episodes", _INT, _positive),
+    Field("run", "step_interval", "step_interval", _FLOAT, _positive),
+    Field("run", "first_episode_duration", "first_episode_duration", _FLOAT, _positive),
+    Field("run", "episode_increment", "episode_increment", _FLOAT, _nonnegative),
+    Field("run", "seeds", "seeds", _INTS),
+    Field("run", "reward", "reward_index", _STR, _choice(*metrics.FAIRNESS_INDICES)),
+    Field("run", "reward_literal", "reward_literal", _BOOL),
+    Field("run", "residual_norm", "residual_norm", _STR, _choice("processors", "unit")),
+    Field("run", "tie_break", "tie_break", _STR, _choice("random", "lowest")),
+    Field("run", "out", "out_dir", _STR),
+    Field("sac", "learning_rate", "learning_rate", _FLOAT),
+    Field("sac", "batch_size", "batch_size", _INT, _positive),
+    Field("sac", "buffer_capacity", "buffer_capacity", _INT),
+    Field("sac", "gamma", "gamma", _FLOAT),
+    Field("sac", "tau", "tau", _FLOAT),
+    Field("sac", "hidden", "hidden", _INT),
+    Field("sac", "updates_per_step", "updates_per_step", _INT),
+    Field("sac", "log_alpha_init", "log_alpha_init", _FLOAT),
+    Field("sac", "strict_observability", "include_duration", _NOT_BOOL),
+)
+
+# The [sweep] lists a sweep manifest adds: (key, kind).
+SWEEP_FIELDS = (("rates", _FLOATS), ("policies", _STRS), ("seeds", _INTS))
+
+# Keys older manifests carry for options that no longer exist.  They load
+# only at the one value the program still implements.
+RETIRED = {
+    ("sac", "log_std_init"): (_FLOAT, 0.0),
+    ("sac", "value_target_uses_guiding_actor"): (_BOOL, False),
+}
 
 
 def validate_config(text: str) -> tuple:
@@ -170,106 +265,39 @@ def validate_config(text: str) -> tuple:
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
 
-    warnings = []
-
+    # a preset stands for its lbs/servers pair and overrides both
     if parser.has_option("topology", "preset"):
         preset = parser.get("topology", "preset").strip()
         if preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
         lbs, plain = PRESETS[preset]
-        servers = tuple((p, 2 * p) for p in plain)
-    elif parser.has_option("topology", "servers"):
-        lbs = _get(parser, "topology", "lbs", int, 1)
-        servers = _parse_servers(parser.get("topology", "servers"))
-    else:
+        parser["topology"]["lbs"] = str(lbs)
+        parser["topology"]["servers"] = ",".join(str(p) for p in plain)
+    elif not parser.has_option("topology", "servers"):
         raise ConfigurationError("topology missing: set [topology] preset or servers")
 
-    if lbs < 1:
-        raise ConfigurationError(f"lbs must be >= 1, got {lbs}")
-    if not servers:
-        raise ConfigurationError("server list is empty")
-    for j, (p, cap) in enumerate(servers):
-        if p < 1:
-            raise ConfigurationError(f"server {j}: p must be >= 1, got {p}")
-        if cap < p:
-            raise ConfigurationError(f"server {j}: p_hat {cap} < p {p}")
+    for (section, key), (kind, value) in RETIRED.items():
+        if _get(parser, section, key, kind[0], value) != value:
+            raise ConfigurationError(f"[{section}] {key} was removed; only "
+                                     f"{key} = {kind[1](value)} is supported")
 
-    rate = _get(parser, "traffic", "rate", float, 0.9)
-    if rate <= 0:
-        raise ConfigurationError(f"traffic rate must be positive, got {rate}")
-    if rate > 1.0:
-        warnings.append(f"traffic rate {rate} exceeds capacity: overload regime")
-    distribution = _get(parser, "traffic", "distribution", str, traffic.IDENTICAL).strip()
-    if distribution not in (traffic.IDENTICAL, traffic.EXPONENTIAL):
-        raise ConfigurationError(f"unknown distribution {distribution!r}")
-    mean_workload = _get(parser, "traffic", "mean", float, 0.1)
-    if mean_workload <= 0:
-        raise ConfigurationError(f"mean workload must be positive, got {mean_workload}")
+    values = {ExperimentConfig: {}, SacConfig: {}}
+    for row in FIELDS:
+        if parser.has_option(row.section, row.key):
+            value = _get(parser, row.section, row.key, row.kind[0])
+            problem = row.check(row.key, value) if row.check else None
+            if problem:
+                raise ConfigurationError(problem)
+            values[row.owner][row.attr] = value
+    config = ExperimentConfig(sac=SacConfig(**values[SacConfig]), **values[ExperimentConfig])
+    Topology(config.lbs, config.servers)  # rejects an invalid LB count or server list
 
-    policy = _get(parser, "run", "policy", str, "rlb-sac").strip()
-    if policy not in POLICY_NAMES:
-        raise ConfigurationError(
-            f"unknown policy {policy!r}; available: {', '.join(POLICY_NAMES)}")
-    episodes = _get(parser, "run", "episodes", int, 20)
-    if episodes < 1:
-        raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
-    reward_index = _get(parser, "run", "reward", str, "jain").strip()
-    if reward_index not in metrics.FAIRNESS_INDICES:
-        raise ConfigurationError(f"unknown fairness index {reward_index!r}")
-    residual_norm = _get(parser, "run", "residual_norm", str, "processors").strip()
-    if residual_norm not in ("processors", "unit"):
-        raise ConfigurationError(f"unknown residual norm {residual_norm!r}")
-    tie_break = _get(parser, "run", "tie_break", str, "random").strip()
-    if tie_break not in ("random", "lowest"):
-        raise ConfigurationError(f"unknown tie break {tie_break!r}")
-
-    step_interval = _get(parser, "run", "step_interval", float, 0.5)
-    first_duration = _get(parser, "run", "first_episode_duration", float, 60.0)
-    increment = _get(parser, "run", "episode_increment", float, 5.0)
-    if step_interval <= 0 or first_duration <= 0 or increment < 0:
-        raise ConfigurationError("step_interval and durations must be positive")
-
-    sac = SacConfig(
-        learning_rate=_get(parser, "sac", "learning_rate", float, 1e-3),
-        batch_size=_get(parser, "sac", "batch_size", int, 64),
-        buffer_capacity=_get(parser, "sac", "buffer_capacity", int, 3000),
-        gamma=_get(parser, "sac", "gamma", float, 0.99),
-        tau=_get(parser, "sac", "tau", float, 0.005),
-        hidden=_get(parser, "sac", "hidden", int, 64),
-        updates_per_step=_get(parser, "sac", "updates_per_step", int, 1),
-        log_alpha_init=_get(parser, "sac", "log_alpha_init", float, math.log(0.2)),
-        log_std_init=_get(parser, "sac", "log_std_init", float, 0.0),
-        include_duration=not _get(parser, "sac", "strict_observability", _bool, False),
-        reward_index=reward_index,
-        reward_literal=_get(parser, "run", "reward_literal", _bool, False),
-        value_target_uses_guiding_actor=_get(
-            parser, "sac", "value_target_uses_guiding_actor", _bool, False),
-    )
-    if policy == "rlb-sac" and sac.batch_size < 1:
-        raise ConfigurationError("batch size must be >= 1")
-    if policy != "rlb-sac" and parser.has_section("sac") and parser.options("sac"):
-        warnings.append(f"[sac] options are ignored by baseline policy {policy!r}")
-
-    config = ExperimentConfig(
-        lbs=lbs,
-        servers=servers,
-        rate_fraction=rate,
-        distribution=distribution,
-        mean_workload=mean_workload,
-        policy=policy,
-        episodes=episodes,
-        step_interval=step_interval,
-        first_episode_duration=first_duration,
-        episode_increment=increment,
-        seeds=_get(parser, "run", "seeds", _int_list, (0,)),
-        reward_index=reward_index,
-        reward_literal=sac.reward_literal,
-        residual_norm=residual_norm,
-        tie_break=tie_break,
-        out_dir=_get(parser, "run", "out", str, "out").strip(),
-        sac=sac,
-    )
+    warnings = []
+    if config.rate_fraction > 1.0:
+        warnings.append(f"traffic rate {config.rate_fraction} exceeds capacity: overload regime")
+    if config.policy != "rlb-sac" and parser.has_section("sac") and parser.options("sac"):
+        warnings.append(f"[sac] options are ignored by baseline policy {config.policy!r}")
     return config, warnings
 
 
@@ -287,72 +315,27 @@ def load_sweep_lists(path: str) -> tuple:
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_string(fh.read())
-    if not parser.has_section("sweep"):
-        return None, None, None
-    rates = _get(parser, "sweep", "rates", _float_list, None)
-    policies = _get(parser, "sweep", "policies", _str_list, None)
-    seeds = _get(parser, "sweep", "seeds", _int_list, None)
-    return rates, policies, seeds
+    return tuple(_get(parser, "sweep", key, kind[0]) for key, kind in SWEEP_FIELDS)
 
 
 def config_to_manifest(config: ExperimentConfig, seed: Optional[int] = None,
                        sweep: Optional[dict] = None) -> str:
     """Render the fully-resolved config as reproducible INI text."""
-    fmt = _fmt_float
-    lines = [
-        "[topology]",
-        f"lbs = {config.lbs}",
-        "servers = " + ",".join(f"{p}:{cap}" for p, cap in config.servers),
-        "",
-        "[traffic]",
-        f"rate = {fmt(config.rate_fraction)}",
-        f"distribution = {config.distribution}",
-        f"mean = {fmt(config.mean_workload)}",
-        "",
-        "[run]",
-        f"policy = {config.policy}",
-        f"episodes = {config.episodes}",
-        f"step_interval = {fmt(config.step_interval)}",
-        f"first_episode_duration = {fmt(config.first_episode_duration)}",
-        f"episode_increment = {fmt(config.episode_increment)}",
-        "seeds = " + ",".join(str(s) for s in ((seed,) if seed is not None else config.seeds)),
-        f"reward = {config.reward_index}",
-        f"reward_literal = {str(config.reward_literal).lower()}",
-        f"residual_norm = {config.residual_norm}",
-        f"tie_break = {config.tie_break}",
-        f"out = {config.out_dir}",
-        "",
-        "[sac]",
-        f"learning_rate = {fmt(config.sac.learning_rate)}",
-        f"batch_size = {config.sac.batch_size}",
-        f"buffer_capacity = {config.sac.buffer_capacity}",
-        f"gamma = {fmt(config.sac.gamma)}",
-        f"tau = {fmt(config.sac.tau)}",
-        f"hidden = {config.sac.hidden}",
-        f"updates_per_step = {config.sac.updates_per_step}",
-        f"log_alpha_init = {fmt(config.sac.log_alpha_init)}",
-        f"log_std_init = {fmt(config.sac.log_std_init)}",
-        f"strict_observability = {str(not config.sac.include_duration).lower()}",
-        "value_target_uses_guiding_actor = "
-        + str(config.sac.value_target_uses_guiding_actor).lower(),
-    ]
+    if seed is not None:
+        config = replace(config, seeds=(seed,))
+    blocks = []
+    for section, rows in groupby(FIELDS, key=lambda row: row.section):
+        owner = config.sac if section == "sac" else config
+        blocks.append([f"[{section}]"] + [f"{row.key} = {row.kind[1](getattr(owner, row.attr))}"
+                                          for row in rows])
     if sweep is not None:
-        lines += [
-            "",
-            "[sweep]",
-            "rates = " + ",".join(fmt(r) for r in sweep["rates"]),
-            "policies = " + ",".join(sweep["policies"]),
-            "seeds = " + ",".join(str(s) for s in sweep["seeds"]),
-        ]
-    return "\n".join(lines) + "\n"
+        blocks.append(["[sweep]"] + [f"{key} = {kind[1](sweep[key])}"
+                                     for key, kind in SWEEP_FIELDS])
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
 # --------------------------------------------------------------------------
 # Running
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -367,7 +350,9 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
     for lb in range(topology.lbs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, lb)))
         if config.policy == "rlb-sac":
-            agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb)
+            agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb,
+                             reward_index=config.reward_index,
+                             reward_literal=config.reward_literal)
             policy = SacPolicy(agent, tie_break=config.tie_break)
         elif config.policy in BASELINE_POLICIES:
             policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)
@@ -472,8 +457,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
 def _sweep_cell(args) -> tuple:
     config, policy, rate, seed = args
     try:
-        cell_config = replace(config, policy=policy, rate_fraction=rate,
-                              sac=replace(config.sac))
+        cell_config = replace(config, policy=policy, rate_fraction=rate)
         result = run_experiment(cell_config, seed=seed, write_files=False)
         last = result.summaries[-1]
         return (policy, rate, seed, last.fairness_index, last.avg_residual_workload,

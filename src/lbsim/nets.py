@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -200,22 +200,6 @@ class DenseNet:
         return DenseNet(layers)
 
 
-def forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network, caching activations for a later backward."""
-    return net.forward(x)
-
-
-def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray):
-    """Exact reverse-mode gradients contracted with ``upstream``.
-
-    Requires a prior forward on the same input; returns (input gradient,
-    parameter gradients in params() order).
-    """
-    if net._cache is None:
-        raise GradientError("no cached forward pass")
-    return net.backward(upstream)
-
-
 class InputNormalizer:
     """Streaming per-feature standardization with running statistics.
 
@@ -296,26 +280,15 @@ def gaussian_head_grads(mean: np.ndarray, log_std_raw: np.ndarray, noise: np.nda
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction, updating in place.
-
-    Optional decoupled weight decay (AdamW style): parameters selected by
-    ``decay_mask`` shrink by lr * weight_decay * p each step, independent of
-    the moment estimates.  By default only matrix-shaped parameters decay,
-    leaving biases and normalization gains free.
-    """
+    """Adaptive-moment optimizer with bias correction, updating in place."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0, decay_mask: Optional[Sequence[bool]] = None):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
-        if decay_mask is None:
-            decay_mask = [p.ndim == 2 for p in self.params]
-        self.decay_mask = list(decay_mask)
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -327,7 +300,6 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        shrink = self.lr * self.weight_decay
         for i, g in enumerate(grads):
             g = np.asarray(g, dtype=float)
             if not np.all(np.isfinite(g)):
@@ -335,8 +307,6 @@ class Adam:
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             self.params[i] -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
-            if shrink and self.decay_mask[i]:
-                self.params[i] -= shrink * self.params[i]
 
 
 def save_net(path, net: DenseNet) -> None:

@@ -98,8 +98,7 @@ def test_criterion_3_reward_option_stretch():
                    mean_workload=0.2)
     rlb_avg, sed_avg = [], []
     for seed in SEEDS3:
-        config = replace(base, policy="rlb-sac", reward_index="bossaer",
-                         sac=replace(base.sac, reward_index="bossaer"))
+        config = replace(base, policy="rlb-sac", reward_index="bossaer")
         res = run_experiment(config, seed=seed, write_files=False)
         rlb_avg.append(res.summaries[-1].avg_residual_workload)
         res = run_experiment(replace(base, policy="sed"), seed=seed,
@@ -322,8 +321,8 @@ def test_criterion_8_sac_sanity():
     mean_err = abs(float(mean[0, 0]) - target)
 
     # temperature direction on constructed batches
-    def biased(bias, **cfg):
-        a = tiny_agent(seed=3, **cfg)
+    def biased(bias):
+        a = tiny_agent(seed=3)
         head = a.model.actor.head.layers[-1]
         head.w[:] = 0.0
         head.b[0] = 0.0
@@ -333,7 +332,8 @@ def test_criterion_8_sac_sanity():
     rng = np.random.default_rng(88)
     # raw log-std 0 is the midpoint of the bounds: sigma ~ 1 for (-1, 1),
     # entropy above the -1 target
-    high = biased(0.0, log_std_bounds=(-1.0, 1.0))
+    high = biased(0.0)
+    high.model.actor.log_std_bounds = (-1.0, 1.0)
     b1 = random_batch(high, 8, rng)
     alpha_down = high.alpha_update(b1) < math.exp(high.config.log_alpha_init)
     low = biased(-30.0)           # sigma ~ 0.05 at the floor: below target

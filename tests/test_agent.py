@@ -13,7 +13,6 @@ from lbsim.agent import (
     SacPolicy,
     Transition,
     action_to_speeds,
-    build_observation,
     observe,
 )
 from lbsim.engine import LocalView, Task, Topology, run_episode
@@ -37,7 +36,7 @@ class TestObservation:
         view = fresh_view()
         view.ongoing[0] = 3
         view.ongoing[1] = 1
-        obs = build_observation(view, now=1.0)
+        obs = observe(view, now=1.0)[0]
         assert obs.shape == (5 + 11 * 2,)
         # per-server blocks: duration(5) + tct(5) + count(1)
         assert np.all(obs[:5] == 0.0)        # no inter-arrival gaps yet
@@ -70,14 +69,14 @@ class TestObservation:
 
     def test_strict_observability_drops_duration(self):
         view = fresh_view()
-        obs = build_observation(view, now=0.0, include_duration=False)
+        obs = observe(view, now=0.0, include_duration=False)[0]
         assert obs.shape == (5 + 6 * 2,)
 
     def test_interarrival_gaps(self):
         view = fresh_view()
         for t in (1.0, 1.5, 2.5):
             view.record_arrival(t)
-        obs = build_observation(view, now=2.5)
+        obs = observe(view, now=2.5)[0]
         assert abs(obs[0] - 0.75) < 1e-12  # mean of gaps 0.5 and 1.0
 
 
@@ -258,8 +257,8 @@ class TestActorUpdate:
 
 
 class TestAlphaUpdate:
-    def _agent_with_log_std_bias(self, bias, **cfg):
-        agent = tiny_agent(**cfg)
+    def _agent_with_log_std_bias(self, bias):
+        agent = tiny_agent()
         head = agent.model.actor.head.layers[-1]
         head.w[:] = 0.0
         head.b[0] = 0.0
@@ -271,7 +270,8 @@ class TestAlphaUpdate:
         # log 2, well above the -1 target (huge sigma would instead collapse
         # the squashed density onto the box walls).  A raw log-std of 0 maps
         # to the midpoint of the bounds, so they are centred on 0 here.
-        agent = self._agent_with_log_std_bias(0.0, log_std_bounds=(-1.0, 1.0))
+        agent = self._agent_with_log_std_bias(0.0)
+        agent.model.actor.log_std_bounds = (-1.0, 1.0)
         rng = np.random.default_rng(11)
         batch = random_batch(agent, 8, rng)
         before = agent.alpha
@@ -320,10 +320,10 @@ class TestSoftUpdate:
     def test_tau_one_copies_main(self):
         agent = tiny_agent(tau=1.0)
         rng = np.random.default_rng(15)
-        for p in agent.model.actor.params():
+        for p in agent.model.critic.params():
             p += rng.normal(size=p.shape)
         agent.soft_update()
-        for g, m in zip(agent.model.guiding_actor.params(), agent.model.actor.params()):
+        for g, m in zip(agent.model.guiding_critic.params(), agent.model.critic.params()):
             assert np.array_equal(g, m)
 
     def test_tau_zero_leaves_guiding(self):
@@ -338,14 +338,14 @@ class TestSoftUpdate:
     def test_geometric_gap_decay(self):
         tau = 0.005
         agent = tiny_agent(tau=tau)
-        for p in agent.model.actor.params():
+        for p in agent.model.critic.params():
             p += 1.0  # freeze a gap
-        gap0 = [m - g for m, g in zip(agent.model.actor.params(),
-                                      agent.model.guiding_actor.params())]
+        gap0 = [m - g for m, g in zip(agent.model.critic.params(),
+                                      agent.model.guiding_critic.params())]
         for k in range(1, 4):
             agent.soft_update()
-            for m, g, g0 in zip(agent.model.actor.params(),
-                                agent.model.guiding_actor.params(), gap0):
+            for m, g, g0 in zip(agent.model.critic.params(),
+                                agent.model.guiding_critic.params(), gap0):
                 assert np.allclose(m - g, (1 - tau) ** k * g0, rtol=1e-12, atol=1e-15)
 
 

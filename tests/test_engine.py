@@ -165,6 +165,15 @@ class TestRunEpisode:
                             step_interval=0.5)
         assert trace.boundaries_per_lb == [120]
 
+    def test_boundary_grid_does_not_drift(self):
+        # summing 0.1 a hundred times lands below 10, which would add a
+        # 101st boundary; the grid is k * step_interval
+        trace = run_episode(TOPO_2S, [make_policy()], [], duration=10.0,
+                            step_interval=0.1)
+        assert trace.boundaries_per_lb == [100]
+        times = sorted({row[0] for row in trace.step_rows})
+        assert times == [k * 0.1 for k in range(100)]
+
     def test_zero_arrivals_zero_residuals(self):
         trace = run_episode(TOPO_2S, [make_policy()], [], duration=10.0)
         assert all(r == 0.0 for resid in trace.residuals_per_boundary for r in resid)

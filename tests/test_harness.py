@@ -1,11 +1,12 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from lbsim import cli, harness
+from lbsim.agent import SacConfig
 from lbsim.engine import ConfigurationError
 from lbsim.harness import (
     ExperimentConfig,
@@ -26,6 +27,45 @@ TINY = ExperimentConfig(
     episodes=2, first_episode_duration=5.0, episode_increment=1.0,
     seeds=(0,),
 )
+
+# The manifest of the default 1lb-2s config as written before the guiding
+# actor and the log-std head bias were removed.
+OLDER_MANIFEST = """\
+[topology]
+lbs = 1
+servers = 4:8,2:4
+
+[traffic]
+rate = 0.90000000000000002
+distribution = identical
+mean = 0.10000000000000001
+
+[run]
+policy = rlb-sac
+episodes = 20
+step_interval = 0.5
+first_episode_duration = 60
+episode_increment = 5
+seeds = 0
+reward = jain
+reward_literal = false
+residual_norm = processors
+tie_break = random
+out = out
+
+[sac]
+learning_rate = 0.001
+batch_size = 64
+buffer_capacity = 3000
+gamma = 0.98999999999999999
+tau = 0.0050000000000000001
+hidden = 64
+updates_per_step = 1
+log_alpha_init = -1.6094379124341003
+log_std_init = 0
+strict_observability = false
+value_target_uses_guiding_actor = false
+"""
 
 
 class TestValidateConfig:
@@ -76,6 +116,35 @@ class TestValidateConfig:
         text = config_to_manifest(config)
         clone, warnings = validate_config(text)
         assert clone == config
+
+    def test_manifest_carries_every_field(self):
+        sac = SacConfig(learning_rate=3e-4, batch_size=32, buffer_capacity=500,
+                        gamma=0.95, tau=0.01, hidden=16, updates_per_step=2,
+                        log_alpha_init=-3.0, include_duration=False)
+        config = ExperimentConfig(
+            lbs=2, servers=((3, 5), (1, 1)), rate_fraction=0.7,
+            distribution="exponential", mean_workload=0.2, policy="lsq", episodes=3,
+            step_interval=0.25, first_episode_duration=30.0, episode_increment=2.5,
+            seeds=(5, 6), reward_index="bossaer", reward_literal=True,
+            residual_norm="unit", tie_break="lowest", out_dir="elsewhere", sac=sac)
+        # a field left at its default would round-trip even if the manifest
+        # dropped it, so every field is moved away from its default
+        for obj, default in ((config, ExperimentConfig()), (sac, SacConfig())):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+        clone, _ = validate_config(config_to_manifest(config))
+        assert clone == config
+
+    def test_older_manifest_loads_to_default(self):
+        config, warnings = validate_config(OLDER_MANIFEST)
+        assert config == validate_config("[topology]\npreset = 1lb-2s\n")[0]
+        assert warnings == []
+        # a removed option set away from the one value still implemented
+        # cannot be reproduced, so it is refused rather than ignored
+        for old, new in (("log_std_init = 0", "log_std_init = -1"),
+                         ("guiding_actor = false", "guiding_actor = true")):
+            with pytest.raises(ConfigurationError, match="was removed"):
+                validate_config(OLDER_MANIFEST.replace(old, new))
 
 
 class TestRunExperiment:
@@ -248,7 +317,9 @@ class TestCli:
 
     def test_bad_policy_flag_is_config_error(self, tmp_path):
         path = self._write_config(tmp_path)
-        assert cli.main(["run", "--config", path, "--policy", "nope"]) == 1
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", path, "--policy", "nope", "--out", out]) == 1
+        assert not os.path.exists(out)
 
     def test_run_and_outputs(self, tmp_path, capsys):
         path = self._write_config(tmp_path)

@@ -117,8 +117,6 @@ class TestBackward:
         net = DenseNet.build([2, 2], np.random.default_rng(0))
         with pytest.raises(GradientError):
             net.backward(np.ones(2))
-        with pytest.raises(GradientError):
-            nets.backward(net, np.ones(2), np.ones(2))
 
     @pytest.mark.parametrize("dims,norm", [
         ([4, 8, 3], True),
