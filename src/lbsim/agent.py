@@ -318,7 +318,6 @@ class SacAgent:
                  reward_index: str = "jain", reward_literal: bool = False):
         self.n = n_servers
         self.config = config
-        self.lb_id = lb_id
         self.reward_index = reward_index
         self.reward_literal = reward_literal
         init_rng, self.noise_rng, replay_rng = (

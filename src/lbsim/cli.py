@@ -48,9 +48,12 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args.config)
     manifest_rates, manifest_policies, manifest_seeds = harness.load_sweep_lists(args.config)
-    rates = harness.float_list(args.rates) if args.rates else manifest_rates
-    policies = harness.str_list(args.policies) if args.policies else manifest_policies
-    seeds = harness.int_list(args.seeds) if args.seeds else manifest_seeds
+    try:
+        rates = harness.float_list(args.rates) if args.rates else manifest_rates
+        policies = harness.str_list(args.policies) if args.policies else manifest_policies
+        seeds = harness.int_list(args.seeds) if args.seeds else manifest_seeds
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse a --rates/--seeds list: {exc}") from exc
     if not rates or not policies or not seeds:
         raise ConfigurationError(
             "sweep needs --rates/--policies/--seeds or a [sweep] section in the config")

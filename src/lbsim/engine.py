@@ -3,10 +3,12 @@
 A server with p processors and concurrency cap p_hat serves up to p_hat
 tasks at once; each in-service task progresses at speed 1 when the ongoing
 count is <= p and at p / min(p_hat, count) otherwise, and overflow waits in
-a FIFO backlog at speed zero.  The engine keeps one pending completion event
-per server (for the minimum remaining work at the current shared speed) and
-reschedules it whenever membership changes, which is equivalent to per-task
-completion events because the shared speed preserves remaining-work order.
+a FIFO backlog at speed zero.  The shared speed preserves the order of
+remaining work, so each server has a single pending completion: the time
+its least-remaining task finishes, recomputed whenever the server's
+membership changes.  The event loop merges three sources: the pre-sorted
+arrivals, a step-boundary grid shared by all LBs, and those per-server
+completion times.
 
 Each load balancer observes only its own arrivals, dispatches and
 completions through a LocalView; policies never see another LB's state.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappush, heappop
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ class ServerState:
     """Mutable server: in-service task list, FIFO backlog, lazy clock."""
 
     __slots__ = ("id", "p", "p_hat", "in_service", "backlog", "backlog_work",
-                 "last_update_time", "token")
+                 "last_update_time")
 
     def __init__(self, server_id: int, p: int, p_hat: int):
         if p < 1:
@@ -71,7 +72,6 @@ class ServerState:
         self.backlog: deque[Task] = deque()
         self.backlog_work = 0.0
         self.last_update_time = 0.0
-        self.token = 0
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,8 @@ class LocalView:
 
 @dataclass
 class EpisodeTrace:
-    """Per-step metric rows plus every task touched by the episode."""
+    """Per-boundary metrics plus every task touched by the episode."""
 
-    step_rows: list          # (time, lb_id, server_id, residual, ongoing, reward, fairness)
     tasks: list
     servers: list
     boundaries_per_lb: list
@@ -250,9 +249,22 @@ class EpisodeTrace:
     fairness_per_boundary: list      # one value per boundary time
     residuals_per_boundary: list     # one list (per server) per boundary time
     rewards: list                    # (time, lb_id, reward), one per (boundary, lb)
+    ongoing_per_step: list           # the LB's ongoing counts, aligned with rewards
 
 
-_ARRIVAL, _COMPLETION, _STEP, _END = 0, 1, 2, 3
+def _next_completion(server: ServerState, now: float) -> float:
+    """When the least-remaining in-service task finishes at the current speed.
+
+    ``inf`` for an idle server.  Valid until the server's membership changes.
+    """
+    ins = server.in_service
+    if not ins:
+        return math.inf
+    m = ins[0].remaining_work
+    for t in ins:
+        if t.remaining_work < m:
+            m = t.remaining_work
+    return now + m / server_speed(len(ins) + len(server.backlog), server.p, server.p_hat)
 
 
 def run_episode(
@@ -267,11 +279,14 @@ def run_episode(
 ) -> EpisodeTrace:
     """Run one episode and return its trace.
 
-    Events are processed in (time, insertion sequence) order until the clock
-    reaches ``duration``.  Step boundaries fire per LB at 0, step_interval,
-    2*step_interval, ...; the boundary at exactly ``duration`` is excluded.
-    With several LBs, each arrival is routed to one of them uniformly at
-    random from ``routing_rng``.
+    The clock jumps to the earliest of three event sources until that
+    reaches ``duration``: the next arrival, the next step boundary
+    k * step_interval, and each server's pending completion.  At equal
+    times the boundary fires first, then completions, lowest server id
+    first, then the arrival.  At a boundary every LB steps, in LB order;
+    the boundary at exactly ``duration`` is excluded.  With several LBs,
+    each arrival is routed to one of them uniformly at random from
+    ``routing_rng``.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration}")
@@ -288,60 +303,58 @@ def run_episode(
         reward_fn = metrics.reward
 
     n = topology.n_servers
+    lbs = topology.lbs
     servers = [ServerState(j, p, p_hat) for j, (p, p_hat) in enumerate(topology.servers)]
-    views = [LocalView(i, n, policies[i].wants_observations) for i in range(topology.lbs)]
+    views = [LocalView(i, n, policies[i].wants_observations) for i in range(lbs)]
     ctxs = [PolicyContext(ongoing=views[i].ongoing,
                           weights=list(policies[i].initial_weights(topology)),
                           rng=policies[i].rng)
-            for i in range(topology.lbs)]
+            for i in range(lbs)]
     norm_div = [float(p) for p, _ in topology.servers] if residual_norm == "processors" \
         else [1.0] * n
 
-    events: list = []
-    seq = 0
-
-    def push(time, kind, a=0, b=0):
-        nonlocal seq
-        heappush(events, (time, seq, kind, a, b))
-        seq += 1
-
-    def reschedule(server: ServerState, now: float) -> None:
-        server.token += 1
-        ins = server.in_service
-        if ins:
-            m = ins[0].remaining_work
-            for t in ins:
-                if t.remaining_work < m:
-                    m = t.remaining_work
-            speed = server_speed(len(ins) + len(server.backlog), server.p, server.p_hat)
-            push(now + m / speed, _COMPLETION, server.id, server.token)
-
-    push(duration, _END)
-    for i in range(topology.lbs):
-        push(0.0, _STEP, i)
-    if arrivals:
-        push(arrivals[0].arrival_time, _ARRIVAL, 0)
-
-    step_rows: list = []
     fairness_per_boundary: list = []
     residuals_per_boundary: list = []
     rewards: list = []
-    boundaries = [0] * topology.lbs
+    ongoing_per_step: list = []
     completed = 0
-    multi_lb = topology.lbs > 1
+    multi_lb = lbs > 1
 
-    cached_resid_time = -1.0
-    cached_resid: list = []
-    cached_fairness = 1.0
+    done_at = [math.inf] * n
+    next_index = 0
+    next_arrival = arrivals[0].arrival_time if arrivals else math.inf
+    k = 0
+    boundary = 0.0
 
-    while events:
-        time, _, kind, a, b = heappop(events)
+    while True:
+        soonest = min(done_at)
+        now = min(boundary, soonest, next_arrival)
+        if now >= duration:
+            break
 
-        if kind == _COMPLETION:
-            server = servers[a]
-            if b != server.token:
-                continue
-            advance_server(server, time)
+        if now == boundary:
+            for server in servers:
+                advance_server(server, now)
+            resid = [residual_workload(servers[j]) / norm_div[j] for j in range(n)]
+            residuals_per_boundary.append(resid)
+            fairness_per_boundary.append(metrics.jain(resid))
+            for lb in range(lbs):
+                view = views[lb]
+                step_reward, new_weights = policies[lb].on_step(view, now)
+                if new_weights is not None:
+                    ctxs[lb].weights = new_weights
+                if step_reward is None:
+                    step_reward = reward_fn(view.tct_discounted(now))
+                rewards.append((now, lb, step_reward))
+                ongoing_per_step.append(tuple(view.ongoing))
+            k += 1
+            # k * step_interval, not boundary + step_interval: repeated addition
+            # drifts, e.g. 0.1 s steps over 10 s would add a 101st boundary
+            boundary = k * step_interval
+
+        elif now == soonest:
+            server = servers[done_at.index(now)]
+            advance_server(server, now)
             ins = server.in_service
             mi = 0
             mv = ins[0].remaining_work
@@ -351,78 +364,47 @@ def run_episode(
                     mi = i
             task = ins.pop(mi)
             task.remaining_work = 0.0
-            task.completion_time = time
+            task.completion_time = now
             if server.backlog:
                 promoted = server.backlog.popleft()
                 # exact zero when the queue drains, so float dust cannot
                 # leave a negative accumulated backlog
                 server.backlog_work = (server.backlog_work - promoted.workload
                                        if server.backlog else 0.0)
-                promoted.service_start_time = time
+                promoted.service_start_time = now
                 ins.append(promoted)
-            views[task.lb_id].record_completion(task, time)
+            views[task.lb_id].record_completion(task, now)
             completed += 1
-            reschedule(server, time)
+            done_at[server.id] = _next_completion(server, now)
 
-        elif kind == _ARRIVAL:
-            task = arrivals[a]
-            if a + 1 < len(arrivals):
-                push(arrivals[a + 1].arrival_time, _ARRIVAL, a + 1)
-            lb = int(routing_rng.integers(topology.lbs)) if multi_lb else 0
+        else:
+            task = arrivals[next_index]
+            next_index += 1
+            next_arrival = (arrivals[next_index].arrival_time
+                            if next_index < len(arrivals) else math.inf)
+            lb = int(routing_rng.integers(lbs)) if multi_lb else 0
             task.lb_id = lb
             view = views[lb]
-            view.record_arrival(time)
-            ctx = ctxs[lb]
-            sid = policies[lb].select(ctx)
+            view.record_arrival(now)
+            sid = policies[lb].select(ctxs[lb])
             if not 0 <= sid < n:
                 raise ConfigurationError(f"policy {policies[lb].name} chose server {sid}")
-            dispatch(task, servers[sid], time)
+            dispatch(task, servers[sid], now)
             view.ongoing[sid] += 1
-            reschedule(servers[sid], time)
+            done_at[sid] = _next_completion(servers[sid], now)
 
-        elif kind == _STEP:
-            lb = a
-            for server in servers:
-                advance_server(server, time)
-            if time != cached_resid_time:
-                cached_resid = [residual_workload(servers[j]) / norm_div[j] for j in range(n)]
-                cached_fairness = metrics.jain(cached_resid)
-                cached_resid_time = time
-                fairness_per_boundary.append(cached_fairness)
-                residuals_per_boundary.append(cached_resid)
-            view = views[lb]
-            step_reward, new_weights = policies[lb].on_step(view, time)
-            if new_weights is not None:
-                ctxs[lb].weights = new_weights
-            if step_reward is None:
-                step_reward = reward_fn(view.tct_discounted(time))
-            rewards.append((time, lb, step_reward))
-            ongoing = view.ongoing
-            resid = cached_resid
-            fairness = cached_fairness
-            for j in range(n):
-                step_rows.append((time, lb, j, resid[j], ongoing[j], step_reward, fairness))
-            boundaries[lb] += 1
-            # k * step_interval, not time + step_interval: repeated addition
-            # drifts, e.g. 0.1 s steps over 10 s would add a 101st boundary
-            nxt = boundaries[lb] * step_interval
-            if nxt < duration:
-                push(nxt, _STEP, lb)
-
-        else:  # _END
-            for server in servers:
-                advance_server(server, time)
-            for i in range(topology.lbs):
-                policies[i].on_episode_end(views[i], time)
-            break
+    for server in servers:
+        advance_server(server, duration)
+    for lb in range(lbs):
+        policies[lb].on_episode_end(views[lb], duration)
 
     return EpisodeTrace(
-        step_rows=step_rows,
         tasks=list(arrivals),
         servers=servers,
-        boundaries_per_lb=boundaries,
+        boundaries_per_lb=[k] * lbs,
         completed=completed,
         fairness_per_boundary=fairness_per_boundary,
         residuals_per_boundary=residuals_per_boundary,
         rewards=rewards,
+        ongoing_per_step=ongoing_per_step,
     )

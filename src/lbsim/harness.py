@@ -12,11 +12,9 @@ processes and reports per-cell medians in table.csv.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 import statistics
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -252,6 +250,10 @@ RETIRED = {
     ("sac", "value_target_uses_guiding_actor"): (_BOOL, False),
 }
 
+# Every (section, key) a config or manifest may carry.
+KNOWN_KEYS = ({(row.section, row.key) for row in FIELDS} | {("topology", "preset")}
+              | set(RETIRED) | {("sweep", key) for key, _ in SWEEP_FIELDS})
+
 
 def validate_config(text: str) -> tuple:
     """Parse config text, apply defaults, and validate.
@@ -264,6 +266,15 @@ def validate_config(text: str) -> tuple:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
+
+    # a misspelt key would otherwise leave its default silently in place
+    known_sections = {section for section, _ in KNOWN_KEYS}
+    for section in parser.sections():
+        if section not in known_sections:
+            raise ConfigurationError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in KNOWN_KEYS:
+                raise ConfigurationError(f"[{section}] {key}: unknown key")
 
     # a preset stands for its lbs/servers pair and overrides both
     if parser.has_option("topology", "preset"):
@@ -422,9 +433,14 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
             summaries.append(_summarize(ep, trace, wall))
             if steps_fh is not None:
                 fmt = _fmt_float
-                steps_fh.write("".join(
-                    f"{ep},{fmt(t)},{lb},{srv},{fmt(res)},{ong},{fmt(rew)},{fmt(fair)}\n"
-                    for t, lb, srv, res, ong, rew, fair in trace.step_rows))
+                steps = zip(trace.rewards, trace.ongoing_per_step)
+                for i, ((t, lb, rew), ongoing) in enumerate(steps):
+                    k = i // topology.lbs  # rewards run boundary-major
+                    tail = f",{fmt(rew)},{fmt(trace.fairness_per_boundary[k])}\n"
+                    steps_fh.write("".join(
+                        f"{ep},{fmt(t)},{lb},{srv},{fmt(res)},{ong}{tail}"
+                        for srv, (res, ong) in enumerate(zip(trace.residuals_per_boundary[k],
+                                                             ongoing))))
             if ep == config.episodes - 1:
                 last_residuals = sorted(
                     r for resid in trace.residuals_per_boundary for r in resid)

@@ -8,7 +8,6 @@ seconds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 

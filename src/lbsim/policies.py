@@ -8,8 +8,8 @@ the local ongoing counts update on every dispatch/completion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -118,10 +118,8 @@ class Policy:
     def __init__(self, tie_break: str = "random"):
         self.tie_break = tie_break
         self.rng: Optional[np.random.Generator] = None
-        self.lb_id: Optional[int] = None
 
     def bind(self, topology, lb_id: int, rng: np.random.Generator) -> "Policy":
-        self.lb_id = lb_id
         self.rng = rng
         return self
 

@@ -171,13 +171,29 @@ class TestRunEpisode:
         trace = run_episode(TOPO_2S, [make_policy()], [], duration=10.0,
                             step_interval=0.1)
         assert trace.boundaries_per_lb == [100]
-        times = sorted({row[0] for row in trace.step_rows})
+        times = sorted({t for t, _, _ in trace.rewards})
         assert times == [k * 0.1 for k in range(100)]
+
+    def test_boundary_fires_before_arrival_at_equal_time(self):
+        # the t=1.0 arrival follows an empty interval; the t=1.0 boundary
+        # still sees the state before it
+        seen = []
+
+        class Spy(SedPolicy):
+            def on_step(self, view, now):
+                seen.append((now, sum(view.ongoing)))
+                return None, None
+
+        tasks = [Task(0, 0.1, 0.0), Task(1, 0.1, 1.0)]
+        trace = run_episode(TOPO_2S, [make_policy(Spy)], tasks, duration=2.0,
+                            step_interval=0.5)
+        assert seen == [(0.0, 0), (0.5, 0), (1.0, 0), (1.5, 0)]
+        assert trace.completed == 2
 
     def test_zero_arrivals_zero_residuals(self):
         trace = run_episode(TOPO_2S, [make_policy()], [], duration=10.0)
         assert all(r == 0.0 for resid in trace.residuals_per_boundary for r in resid)
-        assert all(row[6] == 1.0 for row in trace.step_rows)  # fairness convention
+        assert all(f == 1.0 for f in trace.fairness_per_boundary)  # fairness convention
 
     def test_conservation_mid_flight(self):
         rng = np.random.default_rng(2)
@@ -199,7 +215,8 @@ class TestRunEpisode:
             tasks.sort(key=lambda t: t.arrival_time)
             trace = run_episode(TOPO_2S, [make_policy(EcmpPolicy, seed=3)], tasks,
                                 duration=10.0)
-            rows.append(trace.step_rows)
+            rows.append((trace.rewards, trace.ongoing_per_step,
+                         trace.residuals_per_boundary, trace.fairness_per_boundary))
         assert rows[0] == rows[1]
 
     def test_one_policy_per_lb_enforced(self):

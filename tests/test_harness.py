@@ -1,3 +1,4 @@
+import glob
 import math
 import os
 from dataclasses import fields, replace
@@ -145,6 +146,22 @@ class TestValidateConfig:
                          ("guiding_actor = false", "guiding_actor = true")):
             with pytest.raises(ConfigurationError, match="was removed"):
                 validate_config(OLDER_MANIFEST.replace(old, new))
+
+
+    def test_unknown_key_rejected(self):
+        # a misspelt key used to load the default and validate as "config ok"
+        with pytest.raises(ConfigurationError, match="learnig_rate"):
+            validate_config("[topology]\npreset = 1lb-2s\n[sac]\nlearnig_rate = 0.5\n")
+        with pytest.raises(ConfigurationError, match=r"\[trafic\]"):
+            validate_config("[topology]\npreset = 1lb-2s\n[trafic]\nrate = 0.5\n")
+
+    def test_shipped_configs_validate(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = glob.glob(os.path.join(root, "configs", "*.ini"))
+        paths.append(os.path.join(root, "perfbench", "wide-exp.ini"))
+        assert len(paths) > 1
+        for path in paths:
+            load_config(path)
 
 
 class TestRunExperiment:
@@ -332,6 +349,15 @@ class TestCli:
     def test_sweep_requires_lists(self, tmp_path):
         path = self._write_config(tmp_path)
         assert cli.main(["sweep", "--config", path]) == 1
+
+    def test_malformed_list_flag_is_config_error(self, tmp_path):
+        path = self._write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, "--rates", "0.8,x",
+                         "--policies", "sed", "--seeds", "0", "--out", out]) == 1
+        assert cli.main(["sweep", "--config", path, "--rates", "0.8",
+                         "--policies", "sed", "--seeds", "0,y", "--out", out]) == 1
+        assert not os.path.exists(out)
 
     def test_sweep_cli(self, tmp_path):
         path = self._write_config(tmp_path)
