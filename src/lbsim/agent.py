@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,9 @@ SERVER_FEATURES_STRICT = 6    # TCT stats (5) + ongoing count
 SPEED_FLOOR = 0.05
 # A checkpoint holds one .nn file per network and part: <net>.<part>.nn.
 CHECKPOINT_PARTS = (("lb", "lb_enc"), ("server", "srv_enc"), ("head", "head"))
+# ... and the training state: optimizer moments, then the replay rows in use,
+# as raw little-endian float64.
+TRAIN_STATE_FILE = "train.f64"
 
 # The actor's log-std output is squashed into this range.  While
 # alpha > 0 the entropy term pushes the log-std up, and the critic's action
@@ -105,13 +108,11 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int) -> Batch:
         idx = self.rng.integers(0, self.size, size=batch_size)
-        return Batch(
-            state=self.state[idx].copy(),
-            action=self.action[idx].copy(),
-            reward=self.reward[idx].copy(),
-            next_state=self.next_state[idx].copy(),
-            done=self.done[idx].copy(),
-        )
+        return Batch(*(column[idx] for column in self.columns()))
+
+    def columns(self) -> tuple:
+        """The storage arrays, in Batch field order."""
+        return self.state, self.action, self.reward, self.next_state, self.done
 
 
 def observe(view, now: float, include_duration: bool = True):
@@ -202,9 +203,11 @@ class ActorNet:
         self.lb_enc = nets.DenseNet.build([lb_dim, hidden, hidden], rng)
         self.srv_enc = nets.DenseNet.build([srv_dim, hidden, hidden], rng)
         self.head = nets.DenseNet.build([head_in, hidden, hidden, head_out], rng)
+        self.flat, self.grad = nets.pack([self.lb_enc, self.srv_enc, self.head])
         self._batch = 0
 
     def params(self) -> list:
+        """Per-array views of ``flat``, in checkpoint order."""
         return self.lb_enc.params() + self.srv_enc.params() + self.head.params()
 
     def _embed(self, obs: np.ndarray, action: Optional[np.ndarray]) -> np.ndarray:
@@ -220,14 +223,11 @@ class ActorNet:
         self._batch = B
         return np.concatenate(cols, axis=1)
 
-    def _unwind(self, d_head_in: np.ndarray):
+    def _unwind(self, d_head_in: np.ndarray) -> None:
         h = self.hidden
         B = self._batch
-        d_lb = d_head_in[:, :h].reshape(B, self.n, h).sum(axis=1)
-        d_srv = d_head_in[:, h:2 * h]
-        _, g_srv = self.srv_enc.backward(d_srv)
-        _, g_lb = self.lb_enc.backward(d_lb)
-        return g_lb + g_srv
+        self.srv_enc.backward(d_head_in[:, h:2 * h])
+        self.lb_enc.backward(d_head_in[:, :h].reshape(B, self.n, h).sum(axis=1))
 
     def forward(self, obs: np.ndarray):
         """Per-server Gaussian parameters: (mean, bounded log_std), each (B, n).
@@ -244,15 +244,17 @@ class ActorNet:
         log_std = lo + 0.5 * (hi - lo) * (squashed + 1.0)
         return mean, log_std
 
-    def backward(self, d_mean: np.ndarray, d_log_std: np.ndarray) -> list:
+    def backward(self, d_mean: np.ndarray, d_log_std: np.ndarray) -> np.ndarray:
+        """Parameter gradients, written to and returned as ``grad``."""
         B = self._batch
         lo, hi = self.log_std_bounds
         d_raw = d_log_std * 0.5 * (hi - lo) * (1.0 - self._ls_squash * self._ls_squash)
         d_out = np.empty((B * self.n, 2))
         d_out[:, 0] = d_mean.reshape(-1)
         d_out[:, 1] = d_raw.reshape(-1)
-        d_head_in, g_head = self.head.backward(d_out)
-        return self._unwind(d_head_in) + g_head
+        d_head_in, _ = self.head.backward(d_out)
+        self._unwind(d_head_in)
+        return self.grad
 
     def copy(self):
         """Same class and shape with its own parameters (CriticNet too)."""
@@ -261,6 +263,7 @@ class ActorNet:
         dup.lb_enc = self.lb_enc.copy()
         dup.srv_enc = self.srv_enc.copy()
         dup.head = self.head.copy()
+        dup.flat, dup.grad = nets.pack([dup.lb_enc, dup.srv_enc, dup.head])
         dup._batch = 0
         return dup
 
@@ -282,12 +285,19 @@ class CriticNet(ActorNet):
         out = self.head.forward(self._embed(obs, action))
         return out.reshape(self._batch, self.n).sum(axis=1)
 
-    def backward(self, d_q: np.ndarray):
-        """Returns (parameter gradients, gradient w.r.t. the action input)."""
-        d_out = np.repeat(np.asarray(d_q, dtype=float), self.n)[:, None]
-        d_head_in, g_head = self.head.backward(d_out)
-        d_action = d_head_in[:, -1].reshape(self._batch, self.n)
-        return self._unwind(d_head_in[:, :-1]) + g_head, d_action
+    def backward(self, d_q: np.ndarray) -> np.ndarray:
+        """Parameter gradients, written to and returned as ``grad``."""
+        d_head_in, _ = self.head.backward(self._d_out(d_q))
+        self._unwind(d_head_in[:, :-1])
+        return self.grad
+
+    def action_grad(self, d_q: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the action input only; ``grad`` is left as it is."""
+        d_head_in, _ = self.head.backward(self._d_out(d_q), param_grads=False)
+        return d_head_in[:, -1].reshape(self._batch, self.n)
+
+    def _d_out(self, d_q: np.ndarray) -> np.ndarray:
+        return np.repeat(np.asarray(d_q, dtype=float), self.n)[:, None]
 
 
 class SacModel:
@@ -330,7 +340,10 @@ class SacAgent:
         self.normalizer = ObservationNormalizer(n_servers, srv_dim)
         self.buffer = ReplayBuffer(config.buffer_capacity, self.obs_dim, n_servers,
                                    replay_rng)
-        self._build_optimizers()
+        lr = config.learning_rate
+        self.actor_opt = nets.Adam(self.model.actor.flat, lr=lr)
+        self.critic_opt = nets.Adam(self.model.critic.flat, lr=lr)
+        self.alpha_opt = nets.Adam(self.model.log_alpha, lr=lr)
         self.target_entropy = -float(n_servers)
         self.prev_obs: Optional[np.ndarray] = None
         self.prev_action: Optional[np.ndarray] = None
@@ -338,13 +351,6 @@ class SacAgent:
         self.total_steps = 0
         self.total_updates = 0
         self.dump_dir: Optional[str] = None
-
-    def _build_optimizers(self) -> None:
-        """Fresh Adam state for the actor, the critic and the temperature."""
-        lr = self.config.learning_rate
-        self.actor_opt = nets.Adam(self.model.actor.params(), lr=lr)
-        self.critic_opt = nets.Adam(self.model.critic.params(), lr=lr)
-        self.alpha_opt = nets.Adam([self.model.log_alpha], lr=lr)
 
     @property
     def alpha(self) -> float:
@@ -395,46 +401,50 @@ class SacAgent:
         return np.tanh(mean[0])
 
     # -- gradient updates --------------------------------------------------
+    # The update methods take a batch whose state and next_state are already
+    # normalized; train_step normalizes each sampled batch once.
 
     def train_step(self) -> None:
         batch = self.buffer.sample(self.config.batch_size)
+        norm = self.normalizer.normalize
+        batch = replace(batch, state=norm(batch.state), next_state=norm(batch.next_state))
         try:
             self.critic_update(batch)
+            # The actor and temperature updates do not read the guiding
+            # critic, so it can track the critic while both are in cache.
+            self.soft_update()
             self.actor_update(batch)
             self.alpha_update(batch)
         except nets.DivergenceError:
             if self.dump_dir is not None:
                 self.save_checkpoint(os.path.join(self.dump_dir, "diverged"))
             raise
-        self.soft_update()
         self.total_updates += 1
 
     def critic_targets(self, batch: Batch, noise: Optional[np.ndarray] = None) -> np.ndarray:
         """Bootstrapped targets y = r + gamma*(1-done)*(Q~(s',a') - alpha*logpi)."""
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
-        s2 = self.normalizer.normalize(batch.next_state)
-        mean2, log_std2 = self.model.actor.forward(s2)
+        mean2, log_std2 = self.model.actor.forward(batch.next_state)
         a2, logp2 = nets.gaussian_head_sample(mean2, log_std2, noise)
-        q_next = self.model.guiding_critic.forward(s2, a2)
+        q_next = self.model.guiding_critic.forward(batch.next_state, a2)
         return batch.reward + self.config.gamma * (1.0 - batch.done) * (
             q_next - self.alpha * logp2)
 
     def critic_loss_grads(self, batch: Batch, targets: np.ndarray):
         """Squared-error loss against frozen targets and its critic gradients."""
-        q = self.model.critic.forward(self.normalizer.normalize(batch.state), batch.action)
+        q = self.model.critic.forward(batch.state, batch.action)
         err = q - targets
         loss = float(np.mean(err * err))
-        grads, _ = self.model.critic.backward(2.0 * err / len(batch))
-        return loss, grads
+        return loss, self.model.critic.backward(2.0 * err / len(batch))
 
     def critic_update(self, batch: Batch, noise: Optional[np.ndarray] = None,
                       apply: bool = True) -> float:
         """One squared-error step of the critic toward the frozen targets."""
         y = self.critic_targets(batch, noise)
-        loss, grads = self.critic_loss_grads(batch, y)
+        loss, grad = self.critic_loss_grads(batch, y)
         if apply:
-            self.critic_opt.step(grads)
+            self.critic_opt.step(grad)
         return loss
 
     def actor_loss_grads(self, batch: Batch, noise: np.ndarray):
@@ -443,15 +453,14 @@ class SacAgent:
         Gradients flow through the reparameterized sample into the actor;
         the critic only contributes its action-input gradient.
         """
-        s = self.normalizer.normalize(batch.state)
-        mean, log_std_raw = self.model.actor.forward(s)
+        mean, log_std_raw = self.model.actor.forward(batch.state)
         a, logp, da_dm, da_dls, dlp_dm, dlp_dls = nets.gaussian_head_grads(
             mean, log_std_raw, noise)
-        q = self.model.critic.forward(s, a)
+        q = self.model.critic.forward(batch.state, a)
         alpha = self.alpha
         B = len(batch)
         loss = float(np.mean(alpha * logp - q))
-        _, d_action = self.model.critic.backward(np.full(B, -1.0 / B))
+        d_action = self.model.critic.action_grad(np.full(B, -1.0 / B))
         d_mean = (alpha / B) * dlp_dm + d_action * da_dm
         d_ls = (alpha / B) * dlp_dls + d_action * da_dls
         return loss, self.model.actor.backward(d_mean, d_ls)
@@ -461,9 +470,9 @@ class SacAgent:
         """Reparameterized policy step minimizing alpha*logpi - Q."""
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
-        loss, grads = self.actor_loss_grads(batch, noise)
+        loss, grad = self.actor_loss_grads(batch, noise)
         if apply:
-            self.actor_opt.step(grads)
+            self.actor_opt.step(grad)
         return loss
 
     def alpha_update(self, batch: Batch, noise: Optional[np.ndarray] = None,
@@ -471,19 +480,19 @@ class SacAgent:
         """Tune the temperature toward the target entropy; returns new alpha."""
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
-        mean, log_std = self.model.actor.forward(self.normalizer.normalize(batch.state))
+        mean, log_std = self.model.actor.forward(batch.state)
         _, logp = nets.gaussian_head_sample(mean, log_std, noise)
         grad = -float(np.mean(logp + self.target_entropy))
         if apply:
-            self.alpha_opt.step([np.array([grad])])
+            self.alpha_opt.step(np.array([grad]))
         return self.alpha
 
     def soft_update(self) -> None:
         """The guiding critic tracks the critic: g <- (1-tau) g + tau main."""
         tau = self.config.tau
-        for dst, src in zip(self.model.guiding_critic.params(), self.model.critic.params()):
-            dst *= 1.0 - tau
-            dst += tau * src
+        guiding = self.model.guiding_critic.flat
+        guiding *= 1.0 - tau
+        guiding += tau * self.model.critic.flat
 
     # -- persistence --------------------------------------------------------
 
@@ -491,11 +500,22 @@ class SacAgent:
         return {"actor": self.model.actor, "critic": self.model.critic,
                 "guiding_critic": self.model.guiding_critic}
 
+    def _train_state(self, replay_rows: int) -> list:
+        """The arrays of the training-state file, in file order: m and v of
+        the actor, critic and temperature optimizers, then the first
+        ``replay_rows`` rows of every replay column."""
+        moments = [a for opt in (self.actor_opt, self.critic_opt, self.alpha_opt)
+                   for a in (opt.m, opt.v)]
+        return moments + [column[:replay_rows] for column in self.buffer.columns()]
+
     def save_checkpoint(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
         for name, net in self._checkpoint_nets().items():
             for part, attr in CHECKPOINT_PARTS:
                 nets.save_net(os.path.join(directory, f"{name}.{part}.nn"), getattr(net, attr))
+        state = np.concatenate([a.ravel() for a in self._train_state(self.buffer.size)])
+        with open(os.path.join(directory, TRAIN_STATE_FILE), "wb") as fh:
+            fh.write(state.astype("<f8").tobytes())
         manifest = {
             "n_servers": self.n,
             "obs_dim": self.obs_dim,
@@ -505,23 +525,68 @@ class SacAgent:
             "total_steps": self.total_steps,
             "total_updates": self.total_updates,
             "normalizer": self.normalizer.state(),
+            "adam_steps": {"actor": self.actor_opt.step_count,
+                           "critic": self.critic_opt.step_count,
+                           "alpha": self.alpha_opt.step_count},
+            "replay": {"capacity": self.buffer.capacity, "idx": self.buffer._idx,
+                       "size": self.buffer.size},
+            "rng": {"noise": self.noise_rng.bit_generator.state,
+                    "replay": self.buffer.rng.bit_generator.state},
         }
         with open(os.path.join(directory, "agent.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
     def load_checkpoint(self, directory: str) -> None:
+        """Restore everything ``save_checkpoint`` wrote, in place.
+
+        From a checkpoint taken between episodes, as ``run_experiment``
+        writes them, training continues bit for bit as it would have without
+        the save.  The pending transition of an unfinished episode is not
+        saved.
+        """
         with open(os.path.join(directory, "agent.json")) as fh:
             manifest = json.load(fh)
         if manifest["obs_dim"] != self.obs_dim or manifest["n_servers"] != self.n:
             raise ValueError("checkpoint shape does not match this agent")
+        replay = manifest["replay"]
+        if replay["capacity"] != self.buffer.capacity:
+            raise ValueError(f"checkpoint replay capacity {replay['capacity']} does not "
+                             f"match this agent's {self.buffer.capacity}")
+        loaded = []
         for name, net in self._checkpoint_nets().items():
             for part, attr in CHECKPOINT_PARTS:
-                setattr(net, attr, nets.load_net(os.path.join(directory, f"{name}.{part}.nn")))
+                path = os.path.join(directory, f"{name}.{part}.nn")
+                src, dst = nets.load_net(path), getattr(net, attr)
+                if src.spec() != dst.spec():
+                    raise ValueError(f"{path}: network shape does not match this agent")
+                loaded.append((dst.flat, src.flat))
+        path = os.path.join(directory, TRAIN_STATE_FILE)
+        state = np.fromfile(path, dtype="<f8")
+        arrays = self._train_state(replay["size"])
+        if state.size != sum(a.size for a in arrays):
+            raise ValueError(f"{path}: {state.size} values, expected "
+                             f"{sum(a.size for a in arrays)}")
+
+        for dst, src in loaded:
+            dst[:] = src
+        start = 0
+        for dst in arrays:
+            dst[...] = state[start:start + dst.size].reshape(dst.shape)
+            start += dst.size
+        for column in self.buffer.columns():
+            column[replay["size"]:] = 0.0
+        self.buffer._idx = replay["idx"]
+        self.buffer.size = replay["size"]
+        steps = manifest["adam_steps"]
+        self.actor_opt.step_count = steps["actor"]
+        self.critic_opt.step_count = steps["critic"]
+        self.alpha_opt.step_count = steps["alpha"]
+        self.noise_rng.bit_generator.state = manifest["rng"]["noise"]
+        self.buffer.rng.bit_generator.state = manifest["rng"]["replay"]
         self.model.log_alpha[0] = manifest["log_alpha"]
         self.total_steps = manifest["total_steps"]
         self.total_updates = manifest["total_updates"]
         self.normalizer.load_state(manifest["normalizer"])
-        self._build_optimizers()
 
 
 class SacPolicy(Policy):

@@ -209,14 +209,20 @@ class ChannelLog:
 
 
 class LocalView:
-    """Everything one LB can see: its arrivals, ongoing counts, completions."""
+    """Everything one LB can see: its arrivals, ongoing counts, completions.
 
-    __slots__ = ("lb_id", "n", "ongoing", "last_arrival_time", "interarrival",
+    The inter-arrival and duration channels feed observations only, so a
+    view that does not ``collect`` leaves them empty; the TCT channels
+    always run, because their discounted averages give the reward.
+    """
+
+    __slots__ = ("lb_id", "n", "collect", "ongoing", "last_arrival_time", "interarrival",
                  "durations", "tcts")
 
     def __init__(self, lb_id: int, n_servers: int, collect: bool):
         self.lb_id = lb_id
         self.n = n_servers
+        self.collect = collect
         self.ongoing = [0] * n_servers
         self.last_arrival_time: Optional[float] = None
         self.interarrival = ChannelLog(collect)
@@ -224,6 +230,8 @@ class LocalView:
         self.tcts = [ChannelLog(collect) for _ in range(n_servers)]
 
     def record_arrival(self, now: float) -> None:
+        if not self.collect:
+            return
         if self.last_arrival_time is not None:
             self.interarrival.add(now - self.last_arrival_time, now)
         self.last_arrival_time = now
@@ -231,7 +239,8 @@ class LocalView:
     def record_completion(self, task: Task, now: float) -> None:
         sid = task.server_id
         self.ongoing[sid] -= 1
-        self.durations[sid].add(now - task.service_start_time, now)
+        if self.collect:
+            self.durations[sid].add(now - task.service_start_time, now)
         self.tcts[sid].add(now - task.arrival_time, now)
 
     def tct_discounted(self, now: float) -> list:

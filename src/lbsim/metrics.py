@@ -45,6 +45,26 @@ class ChannelStats:
         )
 
 
+def p90(values: np.ndarray) -> float:
+    """``np.percentile(values, 90)`` bit for bit, for finite samples.
+
+    The same "linear" rule (index (n-1)*0.9 and numpy's two-sided lerp) on
+    the same partition, without the generic quantile machinery, which costs
+    several times the partition itself on the short channels observe reads.
+    """
+    n = values.size
+    if n == 1:
+        return float(values[0])
+    pos = (n - 1) * 0.9
+    i = int(pos)
+    g = pos - i
+    # partition at the positions numpy's percentile does: first, neighbours, last
+    part = np.partition(values, sorted({0, i, i + 1, n - 1}))
+    a, b = part[i], part[i + 1]
+    d = b - a
+    return float(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+
+
 def reduce_arrays(values: np.ndarray, times: np.ndarray, now: float) -> ChannelStats:
     """Reduce parallel value/timestamp arrays to ChannelStats."""
     if values.size == 0:
@@ -56,7 +76,7 @@ def reduce_arrays(values: np.ndarray, times: np.ndarray, now: float) -> ChannelS
     wsum = float(weights.sum())
     return ChannelStats(
         average=float(values.mean()),
-        p90=float(np.percentile(values, 90.0)),
+        p90=p90(values),
         std=float(values.std()),
         discounted_average=float(weighted.sum() / values.size),
         weighted_discounted_average=float(weighted.sum() / wsum),

@@ -4,7 +4,10 @@ Dense layers (affine -> optional layer normalization -> activation), a
 streaming input normalizer, tanh-squashed Gaussian sampling with exact
 log-probabilities, and an adaptive-moment optimizer.  Everything is plain
 float64 numpy; reverse-mode gradients are hand-derived and verified against
-central finite differences in the test suite.
+central finite differences in the test suite.  A network keeps all its
+parameters in one flat vector and their gradients in a second one of the
+same layout; layers hold views into both, so the optimizer, the soft update
+and checkpointing are single vector operations.
 
 Checkpoint format (versioned flat binary): magic ``LBNN``, uint32 version,
 uint32 length of a JSON layer-spec blob, the blob itself, then all
@@ -58,19 +61,25 @@ def _act_grad(name: str, z: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.nda
 
 
 class DenseLayer:
-    """Affine map with optional layer normalization and activation."""
+    """Affine map with optional layer normalization and activation.
+
+    The network that owns the layer makes the parameters ``w``, ``b`` (and
+    ``gain``, ``shift``) and their gradients ``dw``, ``db`` (``dgain``,
+    ``dshift``) views of its two flat vectors with ``bind``.
+    """
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "linear",
                  layer_norm: bool = False):
-        self.w = np.asarray(w, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
-            raise ValueError(f"bad layer shapes w={self.w.shape} b={self.b.shape}")
+        w = np.asarray(w, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ValueError(f"bad layer shapes w={w.shape} b={b.shape}")
         self.activation = activation
         self.layer_norm = layer_norm
+        self.w, self.b = w, b
         if layer_norm:
-            self.gain = np.ones(self.w.shape[1])
-            self.shift = np.zeros(self.w.shape[1])
+            self.gain = np.ones(w.shape[1])
+            self.shift = np.zeros(w.shape[1])
 
     @property
     def in_dim(self) -> int:
@@ -86,43 +95,90 @@ class DenseLayer:
             out += [self.gain, self.shift]
         return out
 
-    def forward(self, x: np.ndarray):
-        z = x @ self.w + self.b
+    def grads(self) -> list:
+        out = [self.dw, self.db]
         if self.layer_norm:
-            mu = z.mean(axis=-1, keepdims=True)
-            zc = z - mu
-            var = np.mean(zc * zc, axis=-1, keepdims=True)
+            out += [self.dgain, self.dshift]
+        return out
+
+    def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Point the parameters at ``flat`` and the gradients at ``grad``."""
+        d_in, d_out = self.w.shape
+        cut = d_in * d_out
+        self.w, self.dw = flat[:cut].reshape(d_in, d_out), grad[:cut].reshape(d_in, d_out)
+        self.b, self.db = flat[cut:cut + d_out], grad[cut:cut + d_out]
+        if self.layer_norm:
+            cut += d_out
+            self.gain, self.dgain = flat[cut:cut + d_out], grad[cut:cut + d_out]
+            cut += d_out
+            self.shift, self.dshift = flat[cut:cut + d_out], grad[cut:cut + d_out]
+
+    def forward(self, x: np.ndarray):
+        # in-place steps below keep the elementwise order of
+        # z = x w + b, zhat = (z - mean) / sqrt(var + eps), h = gain zhat + shift
+        h = x @ self.w
+        h += self.b
+        if self.layer_norm:
+            d = h.shape[-1]
+            h -= h.sum(axis=-1, keepdims=True) / d
+            var = (h * h).sum(axis=-1, keepdims=True) / d
             inv = 1.0 / np.sqrt(var + LN_EPS)
-            zhat = zc * inv
-            h = self.gain * zhat + self.shift
+            h *= inv
+            zhat = h
+            h = zhat * self.gain
+            h += self.shift
         else:
             zhat = inv = None
-            h = z
         y = _act(self.activation, h)
-        return y, (x, z, zhat, inv, h, y)
+        return y, (x, zhat, inv, h, y)
 
-    def backward(self, cache, dy: np.ndarray):
-        x, z, zhat, inv, h, y = cache
-        dh = _act_grad(self.activation, h, y, dy)
-        grads = []
+    def backward(self, cache, dy: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        """Input gradient; the parameter gradients go to the gradient views."""
+        x, zhat, inv, h, y = cache
+        dz = _act_grad(self.activation, h, y, dy)
         if self.layer_norm:
-            dgain = (dh * zhat).sum(axis=0)
-            dshift = dh.sum(axis=0)
-            dzhat = dh * self.gain
-            m1 = dzhat.mean(axis=-1, keepdims=True)
-            m2 = (dzhat * zhat).mean(axis=-1, keepdims=True)
-            dz = inv * (dzhat - m1 - zhat * m2)
-            grads = [dgain, dshift]
-        else:
-            dz = dh
-        dw = x.T @ dz
-        db = dz.sum(axis=0)
-        dx = dz @ self.w.T
-        return dx, [dw, db] + grads
+            if param_grads:
+                (dz * zhat).sum(axis=0, out=self.dgain)
+                dz.sum(axis=0, out=self.dshift)
+            dz = dz * self.gain
+            d = dz.shape[-1]
+            m1 = dz.sum(axis=-1, keepdims=True) / d
+            m2 = (dz * zhat).sum(axis=-1, keepdims=True) / d
+            # dz = inv * (dzhat - m1 - zhat * m2)
+            dz -= m1
+            dz -= zhat * m2
+            dz *= inv
+        if param_grads:
+            np.matmul(x.T, dz, out=self.dw)
+            dz.sum(axis=0, out=self.db)
+        return dz @ self.w.T
+
+
+def pack(parts: Sequence) -> tuple:
+    """Move the parameters of ``parts`` (layers or networks, in order) into one
+    new flat vector and bind every part to its slice of it and of a zeroed
+    gradient vector of the same layout.  Returns (flat, grad)."""
+    flat = np.concatenate([p.ravel() for part in parts for p in part.params()])
+    grad = np.zeros_like(flat)
+    _bind_all(parts, flat, grad)
+    return flat, grad
+
+
+def _bind_all(parts: Sequence, flat: np.ndarray, grad: np.ndarray) -> None:
+    start = 0
+    for part in parts:
+        end = start + sum(p.size for p in part.params())
+        part.bind(flat[start:end], grad[start:end])
+        start = end
 
 
 class DenseNet:
-    """A stack of dense layers with cached-forward reverse-mode gradients."""
+    """A stack of dense layers with cached-forward reverse-mode gradients.
+
+    ``flat`` holds every parameter in layer order (weight, bias, then
+    layer-norm gain and shift), the checkpoint order; ``grad`` holds the
+    gradients of the last backward pass in the same layout.
+    """
 
     def __init__(self, layers: Sequence[DenseLayer]):
         self.layers = list(layers)
@@ -130,6 +186,7 @@ class DenseNet:
             if a.out_dim != b.in_dim:
                 raise ValueError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
         self._cache = None
+        self.flat, self.grad = pack(self.layers)
 
     @classmethod
     def build(cls, dims: Sequence[int], rng: np.random.Generator,
@@ -157,10 +214,16 @@ class DenseNet:
         return self.layers[-1].out_dim
 
     def params(self) -> list:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
+
+    def bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Point the layers at consecutive slices of ``flat`` and ``grad``."""
+        self.flat, self.grad = flat, grad
+        _bind_all(self.layers, flat, grad)
+
+    def spec(self) -> list:
+        return [{"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation,
+                 "layer_norm": layer.layer_norm} for layer in self.layers]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         squeeze = x.ndim == 1
@@ -174,30 +237,31 @@ class DenseNet:
         self._cache = (squeeze, caches)
         return h[0] if squeeze else h
 
-    def backward(self, upstream: np.ndarray):
-        """Gradients of sum(upstream * output) w.r.t. params and input."""
+    def backward(self, upstream: np.ndarray, param_grads: bool = True):
+        """Gradients of sum(upstream * output) w.r.t. input and params.
+
+        Returns (input gradient, per-parameter views of ``grad``).  With
+        ``param_grads=False`` only the input gradient is computed and the
+        second item is None.
+        """
         if self._cache is None:
             raise GradientError("backward called before forward")
         squeeze, caches = self._cache
         dy = np.asarray(upstream, dtype=float)
         if squeeze:
             dy = dy[None, :]
-        grads: list = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dy, layer_grads = layer.backward(cache, dy)
-            grads = layer_grads + grads
+            dy = layer.backward(cache, dy, param_grads)
         dx = dy[0] if squeeze else dy
-        return dx, grads
+        if not param_grads:
+            return dx, None
+        return dx, [g for layer in self.layers for g in layer.grads()]
 
     def copy(self) -> "DenseNet":
-        layers = []
-        for src in self.layers:
-            dup = DenseLayer(src.w.copy(), src.b.copy(), src.activation, src.layer_norm)
-            if src.layer_norm:
-                dup.gain = src.gain.copy()
-                dup.shift = src.shift.copy()
-            layers.append(dup)
-        return DenseNet(layers)
+        dup = DenseNet([DenseLayer(layer.w, layer.b, layer.activation, layer.layer_norm)
+                        for layer in self.layers])
+        dup.flat[:] = self.flat
+        return dup
 
 
 class InputNormalizer:
@@ -280,49 +344,56 @@ def gaussian_head_grads(mean: np.ndarray, log_std_raw: np.ndarray, noise: np.nda
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction, updating in place."""
+    """Adaptive-moment optimizer with bias correction over one flat parameter
+    vector, updated in place."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3,
+    def __init__(self, params: np.ndarray, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        if not isinstance(params, np.ndarray) or params.ndim != 1:
+            raise TypeError("Adam updates one flat parameter vector in place")
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._tmp = np.empty_like(params)
 
-    def step(self, grads: Sequence[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
+    def step(self, grad: np.ndarray) -> None:
+        """One update; a non-finite gradient raises before any state changes."""
+        if not np.isfinite(grad).all():
+            raise DivergenceError("non-finite gradient")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for i, g in enumerate(grads):
-            g = np.asarray(g, dtype=float)
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient in parameter {i}")
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            self.params[i] -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        m, v, tmp = self.m, self.v, self._tmp
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(grad, grad, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = m / c1
+        update *= self.lr
+        update /= tmp
+        self.params -= update
 
 
 def save_net(path, net: DenseNet) -> None:
     """Write a network in the versioned flat binary checkpoint format."""
-    spec = {"layers": [
-        {"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation,
-         "layer_norm": layer.layer_norm}
-        for layer in net.layers
-    ]}
-    blob = json.dumps(spec, sort_keys=True).encode("utf-8")
+    blob = json.dumps({"layers": net.spec()}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(np.asarray([_VERSION, len(blob)], dtype="<u4").tobytes())
         fh.write(blob)
-        for p in net.params():
-            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        fh.write(net.flat.astype("<f8").tobytes())
 
 
 def load_net(path) -> DenseNet:
@@ -333,14 +404,12 @@ def load_net(path) -> DenseNet:
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         spec = json.loads(fh.read(int(blob_len)).decode("utf-8"))
-        layers = []
-        for entry in spec["layers"]:
-            d_in, d_out = entry["in"], entry["out"]
-            w = np.frombuffer(fh.read(8 * d_in * d_out), dtype="<f8").reshape(d_in, d_out).copy()
-            b = np.frombuffer(fh.read(8 * d_out), dtype="<f8").copy()
-            layer = DenseLayer(w, b, entry["activation"], entry["layer_norm"])
-            if entry["layer_norm"]:
-                layer.gain = np.frombuffer(fh.read(8 * d_out), dtype="<f8").copy()
-                layer.shift = np.frombuffer(fh.read(8 * d_out), dtype="<f8").copy()
-            layers.append(layer)
-    return DenseNet(layers)
+        net = DenseNet([
+            DenseLayer(np.zeros((entry["in"], entry["out"])), np.zeros(entry["out"]),
+                       entry["activation"], entry["layer_norm"])
+            for entry in spec["layers"]])
+        values = np.frombuffer(fh.read(), dtype="<f8")
+    if values.size != net.flat.size:
+        raise ValueError(f"{path}: {values.size} parameters, expected {net.flat.size}")
+    net.flat[:] = values
+    return net

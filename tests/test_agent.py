@@ -169,8 +169,9 @@ class TestCriticUpdate:
         noise = rng.standard_normal((1, 1))
         y = agent.critic_targets(batch, noise)
 
-        # independent evaluation of r + gamma*(1-d)*(Q~(s',a') - alpha*logpi)
-        s2 = agent.normalizer.normalize(batch.next_state)
+        # independent evaluation of r + gamma*(1-d)*(Q~(s',a') - alpha*logpi);
+        # the batch states count as already normalized
+        s2 = batch.next_state
         mean, log_std = agent.model.actor.forward(s2)
         ls = np.clip(log_std, nets.LOG_STD_MIN, nets.LOG_STD_MAX)
         std = np.exp(ls)
@@ -209,9 +210,8 @@ class QuadraticCritic:
         self._a = np.asarray(action)
         return -((self._a - self.peak) ** 2).sum(axis=1)
 
-    def backward(self, d_q):
-        d_action = np.asarray(d_q)[:, None] * (-2.0 * (self._a - self.peak))
-        return [], d_action
+    def action_grad(self, d_q):
+        return np.asarray(d_q)[:, None] * (-2.0 * (self._a - self.peak))
 
 
 class TestActorUpdate:
@@ -463,3 +463,116 @@ class TestEngineIntegration:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert clone.total_steps == agent.total_steps
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_flat(self):
+        agent = tiny_agent(n=2)
+        for net in (agent.model.actor, agent.model.critic, agent.model.guiding_critic):
+            params = net.params()
+            assert sum(p.size for p in params) == net.flat.size
+            assert all(np.shares_memory(p, net.flat) for p in params)
+            layers = [layer for sub in (net.lb_enc, net.srv_enc, net.head)
+                      for layer in sub.layers]
+            grads = [g for layer in layers for g in layer.grads()]
+            assert all(np.shares_memory(g, net.grad) for g in grads)
+
+    def test_copy_owns_its_vector(self):
+        critic = tiny_agent(n=2).model.critic
+        dup = critic.copy()
+        assert dup.flat.tobytes() == critic.flat.tobytes()
+        assert not np.shares_memory(dup.flat, critic.flat)
+        assert not np.shares_memory(dup.grad, critic.grad)
+        assert all(np.shares_memory(p, dup.flat) for p in dup.params())
+        dup.flat += 1.0
+        assert not np.array_equal(dup.flat, critic.flat)
+
+    def test_backward_overwrites_the_whole_gradient(self):
+        agent = tiny_agent(n=2, hidden=6)
+        batch = random_batch(agent, 5, np.random.default_rng(20))
+        critic = agent.model.critic
+        critic.grad[:] = np.nan
+        critic.forward(batch.state, batch.action)
+        grad = critic.backward(np.ones(5))
+        assert grad is critic.grad and np.all(np.isfinite(grad))
+
+    def test_action_grad_matches_full_backward(self):
+        agent = tiny_agent(n=3, hidden=8, seed=5)
+        rng = np.random.default_rng(21)
+        batch = random_batch(agent, 7, rng)
+        d_q = rng.normal(size=7)
+        critic = agent.model.critic
+        critic.forward(batch.state, batch.action)
+        critic.grad[:] = 0.0
+        d_action = critic.action_grad(d_q)
+        assert np.all(critic.grad == 0.0)  # parameter gradients are skipped
+        d_head_in, _ = critic.head.backward(np.repeat(d_q, 3)[:, None])
+        assert d_action.tobytes() == d_head_in[:, -1].reshape(7, 3).tobytes()
+
+    def test_soft_update_matches_per_array_update(self):
+        agent = tiny_agent(n=2, tau=0.005)
+        rng = np.random.default_rng(22)
+        agent.model.critic.flat += rng.normal(size=agent.model.critic.flat.size)
+        expected = []
+        for g, m in zip(agent.model.guiding_critic.params(), agent.model.critic.params()):
+            g = g.copy()
+            g *= 1.0 - 0.005
+            g += 0.005 * m
+            expected.append(g.ravel())
+        agent.soft_update()
+        assert agent.model.guiding_critic.flat.tobytes() == np.concatenate(expected).tobytes()
+
+
+class TestResume:
+    TOPO = Topology(1, ((4, 8), (2, 4)))
+    CONFIG = SacConfig(batch_size=8, buffer_capacity=24, hidden=8)
+
+    def _run(self, tmp_path, resume_after=None, episodes=4):
+        """Train over several episodes; optionally save after ``resume_after``
+        episodes and continue in a fresh agent whose own streams differ."""
+        agent = SacAgent(2, self.CONFIG, seed=4)
+        policy = SacPolicy(agent).bind(self.TOPO, 0, np.random.default_rng(4))
+        rewards = []
+        for ep in range(episodes):
+            if ep == resume_after:
+                agent.save_checkpoint(tmp_path / "ck")
+                agent = SacAgent(2, self.CONFIG, seed=99)
+                agent.load_checkpoint(tmp_path / "ck")
+                policy.agent = agent
+            tasks = generate(TrafficSpec(0.9, "identical", 0.1, seed=4), self.TOPO, 8.0,
+                             episode=ep)
+            trace = run_episode(self.TOPO, [policy], tasks, 8.0)
+            rewards.append([r for _, _, r in trace.rewards])
+        return agent, rewards
+
+    def test_save_load_continue_equals_uninterrupted(self, tmp_path):
+        whole, r_whole = self._run(tmp_path)
+        resumed, r_resumed = self._run(tmp_path, resume_after=2)
+        assert resumed.buffer.size == 24  # the ring had wrapped at the save
+        assert r_resumed == r_whole
+        for attr in ("actor", "critic", "guiding_critic"):
+            a = getattr(whole.model, attr).flat
+            b = getattr(resumed.model, attr).flat
+            assert a.tobytes() == b.tobytes(), attr
+        assert whole.model.log_alpha.tobytes() == resumed.model.log_alpha.tobytes()
+        for a, b in zip(whole.buffer.columns(), resumed.buffer.columns()):
+            assert a.tobytes() == b.tobytes()  # actions, states and rewards
+        assert whole.total_updates == resumed.total_updates > 0
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        agent, _ = self._run(tmp_path, episodes=2)
+        agent.save_checkpoint(tmp_path / "a")
+        clone = SacAgent(2, self.CONFIG, seed=1)
+        clone.load_checkpoint(tmp_path / "a")
+        clone.save_checkpoint(tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert "train.f64" in names and len(names) == 11
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_capacity_mismatch_rejected(self, tmp_path):
+        agent, _ = self._run(tmp_path, episodes=1)
+        agent.save_checkpoint(tmp_path / "ck")
+        other = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=25, hidden=8), seed=1)
+        with pytest.raises(ValueError):
+            other.load_checkpoint(tmp_path / "ck")

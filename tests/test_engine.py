@@ -190,6 +190,21 @@ class TestRunEpisode:
         assert seen == [(0.0, 0), (0.5, 0), (1.0, 0), (1.5, 0)]
         assert trace.completed == 2
 
+    def test_baseline_view_feeds_only_the_reward_channels(self):
+        views = []
+
+        class Spy(SedPolicy):
+            def on_step(self, view, now):
+                views.append(view)
+                return None, None
+
+        tasks = [Task(i, 0.1, 0.2 * i) for i in range(10)]
+        run_episode(TOPO_2S, [make_policy(Spy)], tasks, duration=3.0)
+        view = views[-1]
+        assert view.interarrival.count == 0
+        assert all(ch.count == 0 for ch in view.durations)
+        assert sum(ch.count for ch in view.tcts) == 10
+
     def test_zero_arrivals_zero_residuals(self):
         trace = run_episode(TOPO_2S, [make_policy()], [], duration=10.0)
         assert all(r == 0.0 for resid in trace.residuals_per_boundary for r in resid)

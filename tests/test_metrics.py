@@ -66,6 +66,14 @@ class TestReduce:
                       "weighted_discounted_average"):
             assert abs(getattr(a, field) - getattr(b, field)) < 1e-9
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_p90_matches_numpy_percentile_bitwise(self, values):
+        arr = np.asarray(values, dtype=float)
+        expected = np.float64(np.percentile(arr, 90.0))
+        assert np.float64(metrics.p90(arr)).tobytes() == expected.tobytes()
+
 
 class TestFairnessIndices:
     def test_jain_examples(self):

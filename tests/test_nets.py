@@ -24,7 +24,16 @@ def rel_err(a, b, floor=1e-6):
 
 
 def fd_param_check(loss_fn, params, grads, rng, probes=100, h=1e-5, tol=1e-4):
-    """Central finite differences on random parameter entries."""
+    """Central finite differences on random parameter entries.
+
+    ``grads`` is a list shaped like ``params`` or one flat vector in
+    ``params`` order.  It is copied first: ``loss_fn`` may run a backward
+    pass that rewrites the network's gradient buffer.
+    """
+    if isinstance(grads, np.ndarray):
+        cuts = np.cumsum([p.size for p in params])[:-1]
+        grads = [g.reshape(p.shape) for g, p in zip(np.split(grads, cuts), params)]
+    grads = [np.array(g) for g in grads]
     checked = 0
     while checked < probes:
         k = int(rng.integers(len(params)))
@@ -167,6 +176,45 @@ class TestBackward:
         fd_param_check(loss, net.params(), grads, rng, probes=60)
 
 
+class TestFlatStorage:
+    def test_params_and_grads_are_views(self):
+        net = DenseNet.build([4, 8, 8, 2], np.random.default_rng(12))
+        params = net.params()
+        assert sum(p.size for p in params) == net.flat.size == net.grad.size
+        assert all(np.shares_memory(p, net.flat) for p in params)
+        net.forward(np.ones((3, 4)))
+        _, grads = net.backward(np.ones((3, 2)))
+        assert all(np.shares_memory(g, net.grad) for g in grads)
+        assert [g.shape for g in grads] == [p.shape for p in params]
+
+    def test_flat_is_layer_order(self):
+        net = DenseNet.build([3, 5, 2], np.random.default_rng(13))
+        expected = np.concatenate([p.ravel() for p in net.params()])
+        assert net.flat.tobytes() == expected.tobytes()
+        net.layers[0].gain[:] = 2.0
+        assert np.all(net.flat[3 * 5 + 5:3 * 5 + 10] == 2.0)
+
+    def test_copy_owns_its_vector(self):
+        net = DenseNet.build([3, 5, 2], np.random.default_rng(14))
+        dup = net.copy()
+        assert dup.flat.tobytes() == net.flat.tobytes()
+        assert not np.shares_memory(dup.flat, net.flat)
+        dup.layers[0].w[0, 0] += 1.0
+        assert dup.flat[0] != net.flat[0]
+
+    def test_input_only_backward(self):
+        rng = np.random.default_rng(15)
+        net = DenseNet.build([4, 8, 8, 2], rng)
+        x = rng.normal(size=(5, 4))
+        upstream = rng.normal(size=(5, 2))
+        net.forward(x)
+        dx_full, _ = net.backward(upstream)
+        net.grad[:] = 0.0
+        dx, grads = net.backward(upstream, param_grads=False)
+        assert grads is None and np.all(net.grad == 0.0)
+        assert dx.tobytes() == dx_full.tobytes()
+
+
 class TestGaussianHead:
     def test_mode_sample(self):
         ls = np.array([-0.5, 0.3])
@@ -231,27 +279,56 @@ class TestGaussianHead:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
-        opt = Adam([p])
-        opt.step([np.zeros(2)])
+        opt = Adam(p)
+        opt.step(np.zeros(2))
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         p = np.array([0.0])
-        opt = Adam([p], lr=1e-3)
-        opt.step([np.array([1.0])])
+        opt = Adam(p, lr=1e-3)
+        opt.step(np.array([1.0]))
         assert abs(p[0] + 1e-3) < 1e-9  # bias-corrected first step ~ -lr
 
     def test_constant_gradient_descends(self):
         p = np.array([0.5])
-        opt = Adam([p], lr=1e-2)
+        opt = Adam(p, lr=1e-2)
         for _ in range(100):
-            opt.step([np.array([1.0])])
+            opt.step(np.array([1.0]))
         assert p[0] < 0.5 - 0.5
 
     def test_nonfinite_gradient_aborts(self):
-        opt = Adam([np.zeros(2)])
+        p = np.zeros(2)
+        opt = Adam(p)
         with pytest.raises(DivergenceError):
-            opt.step([np.array([1.0, math.nan])])
+            opt.step(np.array([1.0, math.nan]))
+        assert opt.step_count == 0 and np.all(p == 0.0) and np.all(opt.m == 0.0)
+
+    def test_rejects_a_list_of_arrays(self):
+        with pytest.raises(TypeError):
+            Adam([np.zeros(2)])
+
+    def test_flat_step_matches_per_array_update(self):
+        # the per-array update this optimizer replaced, written out
+        rng = np.random.default_rng(11)
+        shapes = [(5, 7), (7,), (7,), (7,), (7, 1), (1,)]
+        parts = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in parts])
+        opt = Adam(flat, lr=3e-3)
+        m = [np.zeros_like(p) for p in parts]
+        v = [np.zeros_like(p) for p in parts]
+        b1, b2 = 0.9, 0.999
+        for t in range(1, 6):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-4, 3), size=s) for s in shapes]
+            opt.step(np.concatenate([g.ravel() for g in grads]))
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                parts[i] -= 3e-3 * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8)
+            ref = np.concatenate([p.ravel() for p in parts])
+            assert flat.tobytes() == ref.tobytes()
+            assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+            assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
 
 class TestInputNormalizer:
