@@ -29,11 +29,11 @@ LB_FEATURES = 5
 SERVER_FEATURES = 11          # duration stats (5) + TCT stats (5) + ongoing count
 SERVER_FEATURES_STRICT = 6    # TCT stats (5) + ongoing count
 SPEED_FLOOR = 0.05
-# A checkpoint holds one .nn file per network and part: <net>.<part>.nn.
-CHECKPOINT_PARTS = (("lb", "lb_enc"), ("server", "srv_enc"), ("head", "head"))
-# ... and the training state: optimizer moments, then the replay rows in use,
-# as raw little-endian float64.
-TRAIN_STATE_FILE = "train.f64"
+# An agent checkpoint is one file: magic, uint32 version, uint32 header
+# length, a JSON header, then one little-endian float64 payload.
+CHECKPOINT_FILE = "agent.ckpt"
+_MAGIC = b"LBCK"
+_VERSION = 1
 
 # The actor's log-std output is squashed into this range.  While
 # alpha > 0 the entropy term pushes the log-std up, and the critic's action
@@ -207,7 +207,7 @@ class ActorNet:
         self._batch = 0
 
     def params(self) -> list:
-        """Per-array views of ``flat``, in checkpoint order."""
+        """Per-array views of ``flat``, in its order."""
         return self.lb_enc.params() + self.srv_enc.params() + self.head.params()
 
     def _embed(self, obs: np.ndarray, action: Optional[np.ndarray]) -> np.ndarray:
@@ -347,7 +347,6 @@ class SacAgent:
         self.target_entropy = -float(n_servers)
         self.prev_obs: Optional[np.ndarray] = None
         self.prev_action: Optional[np.ndarray] = None
-        self.training = True
         self.total_steps = 0
         self.total_updates = 0
         self.dump_dir: Optional[str] = None
@@ -394,11 +393,9 @@ class SacAgent:
 
     def _act(self, obs: np.ndarray) -> np.ndarray:
         mean, log_std = self.model.actor.forward(self.normalizer.normalize(obs)[None, :])
-        if self.training:
-            noise = self.noise_rng.standard_normal(self.n)
-            action, _ = nets.gaussian_head_sample(mean[0], log_std[0], noise)
-            return action
-        return np.tanh(mean[0])
+        noise = self.noise_rng.standard_normal(self.n)
+        action, _ = nets.gaussian_head_sample(mean[0], log_std[0], noise)
+        return action
 
     # -- gradient updates --------------------------------------------------
     # The update methods take a batch whose state and next_state are already
@@ -496,27 +493,21 @@ class SacAgent:
 
     # -- persistence --------------------------------------------------------
 
-    def _checkpoint_nets(self) -> dict:
-        return {"actor": self.model.actor, "critic": self.model.critic,
-                "guiding_critic": self.model.guiding_critic}
-
-    def _train_state(self, replay_rows: int) -> list:
-        """The arrays of the training-state file, in file order: m and v of
-        the actor, critic and temperature optimizers, then the first
-        ``replay_rows`` rows of every replay column."""
-        moments = [a for opt in (self.actor_opt, self.critic_opt, self.alpha_opt)
+    def _payload(self, replay_rows: int) -> list:
+        """The checkpoint payload arrays, in file order: the actor, critic and
+        guiding-critic parameters, m and v of the actor, critic and
+        temperature optimizers, then the first ``replay_rows`` rows of every
+        replay column.  The pending transition's observation and action
+        follow when the header marks one."""
+        model = self.model
+        arrays = [model.actor.flat, model.critic.flat, model.guiding_critic.flat]
+        arrays += [a for opt in (self.actor_opt, self.critic_opt, self.alpha_opt)
                    for a in (opt.m, opt.v)]
-        return moments + [column[:replay_rows] for column in self.buffer.columns()]
+        return arrays + [column[:replay_rows] for column in self.buffer.columns()]
 
     def save_checkpoint(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        for name, net in self._checkpoint_nets().items():
-            for part, attr in CHECKPOINT_PARTS:
-                nets.save_net(os.path.join(directory, f"{name}.{part}.nn"), getattr(net, attr))
-        state = np.concatenate([a.ravel() for a in self._train_state(self.buffer.size)])
-        with open(os.path.join(directory, TRAIN_STATE_FILE), "wb") as fh:
-            fh.write(state.astype("<f8").tobytes())
-        manifest = {
+        pending = self.prev_obs is not None
+        header = {
             "n_servers": self.n,
             "obs_dim": self.obs_dim,
             "include_duration": self.config.include_duration,
@@ -532,61 +523,72 @@ class SacAgent:
                        "size": self.buffer.size},
             "rng": {"noise": self.noise_rng.bit_generator.state,
                     "replay": self.buffer.rng.bit_generator.state},
+            "pending": pending,
         }
-        with open(os.path.join(directory, "agent.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        arrays = self._payload(self.buffer.size)
+        if pending:
+            arrays += [self.prev_obs, self.prev_action]
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, CHECKPOINT_FILE), "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(np.array([_VERSION, len(blob)], dtype="<u4").tobytes())
+            fh.write(blob)
+            for a in arrays:  # one at a time: no concatenated copy
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
     def load_checkpoint(self, directory: str) -> None:
         """Restore everything ``save_checkpoint`` wrote, in place.
 
-        From a checkpoint taken between episodes, as ``run_experiment``
-        writes them, training continues bit for bit as it would have without
-        the save.  The pending transition of an unfinished episode is not
-        saved.
+        Training then continues bit for bit as it would have without the
+        save, also from the middle of an episode.
         """
-        with open(os.path.join(directory, "agent.json")) as fh:
-            manifest = json.load(fh)
-        if manifest["obs_dim"] != self.obs_dim or manifest["n_servers"] != self.n:
-            raise ValueError("checkpoint shape does not match this agent")
-        replay = manifest["replay"]
-        if replay["capacity"] != self.buffer.capacity:
-            raise ValueError(f"checkpoint replay capacity {replay['capacity']} does not "
-                             f"match this agent's {self.buffer.capacity}")
-        loaded = []
-        for name, net in self._checkpoint_nets().items():
-            for part, attr in CHECKPOINT_PARTS:
-                path = os.path.join(directory, f"{name}.{part}.nn")
-                src, dst = nets.load_net(path), getattr(net, attr)
-                if src.spec() != dst.spec():
-                    raise ValueError(f"{path}: network shape does not match this agent")
-                loaded.append((dst.flat, src.flat))
-        path = os.path.join(directory, TRAIN_STATE_FILE)
-        state = np.fromfile(path, dtype="<f8")
-        arrays = self._train_state(replay["size"])
-        if state.size != sum(a.size for a in arrays):
-            raise ValueError(f"{path}: {state.size} values, expected "
-                             f"{sum(a.size for a in arrays)}")
+        path = os.path.join(directory, CHECKPOINT_FILE)
+        with open(path, "rb") as fh:
+            if fh.read(4) != _MAGIC:
+                raise ValueError(f"{path}: not an agent checkpoint")
+            version, header_len = np.frombuffer(fh.read(8), dtype="<u4")
+            if version != _VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            header = json.loads(fh.read(int(header_len)).decode("utf-8"))
+            data = fh.read()
+        if (header["obs_dim"], header["n_servers"], header["hidden"]) != (
+                self.obs_dim, self.n, self.config.hidden):
+            raise ValueError(f"{path}: checkpoint shape does not match this agent")
+        replay = header["replay"]
+        capacity, size, idx = self.buffer.capacity, replay["size"], replay["idx"]
+        if replay["capacity"] != capacity:
+            raise ValueError(f"{path}: replay capacity {replay['capacity']} does not "
+                             f"match this agent's {capacity}")
+        if not (0 <= size <= capacity and 0 <= idx < capacity):
+            raise ValueError(f"{path}: replay size {size} or index {idx} outside "
+                             f"capacity {capacity}")
+        pending = [np.empty(self.obs_dim), np.empty(self.n)] if header["pending"] else []
+        arrays = self._payload(size) + pending
+        expected = sum(a.size for a in arrays)
+        if len(data) != 8 * expected:
+            raise ValueError(f"{path}: {len(data)} payload bytes, expected {8 * expected}")
 
-        for dst, src in loaded:
-            dst[:] = src
+        payload = np.frombuffer(data, dtype="<f8")
         start = 0
         for dst in arrays:
-            dst[...] = state[start:start + dst.size].reshape(dst.shape)
+            dst[...] = payload[start:start + dst.size].reshape(dst.shape)
             start += dst.size
         for column in self.buffer.columns():
-            column[replay["size"]:] = 0.0
-        self.buffer._idx = replay["idx"]
-        self.buffer.size = replay["size"]
-        steps = manifest["adam_steps"]
+            column[size:] = 0.0
+        self.buffer._idx = idx
+        self.buffer.size = size
+        self.prev_obs, self.prev_action = pending or (None, None)
+        steps = header["adam_steps"]
         self.actor_opt.step_count = steps["actor"]
         self.critic_opt.step_count = steps["critic"]
         self.alpha_opt.step_count = steps["alpha"]
-        self.noise_rng.bit_generator.state = manifest["rng"]["noise"]
-        self.buffer.rng.bit_generator.state = manifest["rng"]["replay"]
-        self.model.log_alpha[0] = manifest["log_alpha"]
-        self.total_steps = manifest["total_steps"]
-        self.total_updates = manifest["total_updates"]
-        self.normalizer.load_state(manifest["normalizer"])
+        self.noise_rng.bit_generator.state = header["rng"]["noise"]
+        self.buffer.rng.bit_generator.state = header["rng"]["replay"]
+        self.model.log_alpha[0] = header["log_alpha"]
+        self.total_steps = header["total_steps"]
+        self.total_updates = header["total_updates"]
+        self.normalizer.load_state(header["normalizer"])
 
 
 class SacPolicy(Policy):

@@ -369,7 +369,7 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
             policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)
         else:
             raise ConfigurationError(f"unknown policy {config.policy!r}")
-        policies.append(policy.bind(topology, lb, rng))
+        policies.append(policy.bind(rng))
     return policies
 
 

@@ -8,15 +8,9 @@ central finite differences in the test suite.  A network keeps all its
 parameters in one flat vector and their gradients in a second one of the
 same layout; layers hold views into both, so the optimizer, the soft update
 and checkpointing are single vector operations.
-
-Checkpoint format (versioned flat binary): magic ``LBNN``, uint32 version,
-uint32 length of a JSON layer-spec blob, the blob itself, then all
-parameters as little-endian float64 in row-major order, in layer order
-(weight, bias, then layer-norm gain and shift when present).
 """
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
@@ -29,9 +23,6 @@ SQUASH_EPS = 1e-6
 # largest double strictly below 1: float tanh rounds to exactly +-1 for
 # |u| > ~19, but squashed samples must stay strictly inside the unit box
 _TANH_LIMIT = float(np.nextafter(1.0, 0.0))
-
-_MAGIC = b"LBNN"
-_VERSION = 1
 
 
 class GradientError(RuntimeError):
@@ -176,7 +167,7 @@ class DenseNet:
     """A stack of dense layers with cached-forward reverse-mode gradients.
 
     ``flat`` holds every parameter in layer order (weight, bias, then
-    layer-norm gain and shift), the checkpoint order; ``grad`` holds the
+    layer-norm gain and shift); ``grad`` holds the
     gradients of the last backward pass in the same layout.
     """
 
@@ -220,10 +211,6 @@ class DenseNet:
         """Point the layers at consecutive slices of ``flat`` and ``grad``."""
         self.flat, self.grad = flat, grad
         _bind_all(self.layers, flat, grad)
-
-    def spec(self) -> list:
-        return [{"in": layer.in_dim, "out": layer.out_dim, "activation": layer.activation,
-                 "layer_norm": layer.layer_norm} for layer in self.layers]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         squeeze = x.ndim == 1
@@ -385,31 +372,3 @@ class Adam:
         update /= tmp
         self.params -= update
 
-
-def save_net(path, net: DenseNet) -> None:
-    """Write a network in the versioned flat binary checkpoint format."""
-    blob = json.dumps({"layers": net.spec()}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(np.asarray([_VERSION, len(blob)], dtype="<u4").tobytes())
-        fh.write(blob)
-        fh.write(net.flat.astype("<f8").tobytes())
-
-
-def load_net(path) -> DenseNet:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a network checkpoint")
-        version, blob_len = np.frombuffer(fh.read(8), dtype="<u4")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        spec = json.loads(fh.read(int(blob_len)).decode("utf-8"))
-        net = DenseNet([
-            DenseLayer(np.zeros((entry["in"], entry["out"])), np.zeros(entry["out"]),
-                       entry["activation"], entry["layer_norm"])
-            for entry in spec["layers"]])
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    if values.size != net.flat.size:
-        raise ValueError(f"{path}: {values.size} parameters, expected {net.flat.size}")
-    net.flat[:] = values
-    return net

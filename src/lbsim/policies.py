@@ -119,7 +119,7 @@ class Policy:
         self.tie_break = tie_break
         self.rng: Optional[np.random.Generator] = None
 
-    def bind(self, topology, lb_id: int, rng: np.random.Generator) -> "Policy":
+    def bind(self, rng: np.random.Generator) -> "Policy":
         self.rng = rng
         return self
 

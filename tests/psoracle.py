@@ -118,7 +118,6 @@ def run_engine_on_scenario(servers, triples):
 
     topo = Topology(1, tuple(servers))
     tasks = [Task(i, w, at) for i, (at, w, _) in enumerate(triples)]
-    policy = ScriptedPolicy([j for _, _, j in triples]).bind(
-        topo, 0, np.random.default_rng(0))
+    policy = ScriptedPolicy([j for _, _, j in triples]).bind(np.random.default_rng(0))
     horizon = max(at for at, _, _ in triples) + sum(w for _, w, _ in triples) + 1.0
     return run_episode(topo, [policy], tasks, duration=horizon)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -417,7 +418,7 @@ class TestEngineIntegration:
 
     def _run(self, seed=0, episodes=2):
         agent = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=100), seed=seed)
-        policy = SacPolicy(agent).bind(self.TOPO, 0, np.random.default_rng(seed))
+        policy = SacPolicy(agent).bind(np.random.default_rng(seed))
         curves = []
         for ep in range(episodes):
             spec = TrafficSpec(0.9, "identical", 0.1, seed=seed)
@@ -442,7 +443,7 @@ class TestEngineIntegration:
                 observed.append(tuple(ctx.weights))
                 return super().select(ctx)
 
-        policy = Spy(agent).bind(self.TOPO, 0, np.random.default_rng(5))
+        policy = Spy(agent).bind(np.random.default_rng(5))
         spec = TrafficSpec(0.9, "identical", 0.1, seed=5)
         tasks = generate(spec, self.TOPO, 5.0, episode=0)
         run_episode(self.TOPO, [policy], tasks, 5.0)
@@ -531,7 +532,7 @@ class TestResume:
         """Train over several episodes; optionally save after ``resume_after``
         episodes and continue in a fresh agent whose own streams differ."""
         agent = SacAgent(2, self.CONFIG, seed=4)
-        policy = SacPolicy(agent).bind(self.TOPO, 0, np.random.default_rng(4))
+        policy = SacPolicy(agent).bind(np.random.default_rng(4))
         rewards = []
         for ep in range(episodes):
             if ep == resume_after:
@@ -565,10 +566,9 @@ class TestResume:
         clone = SacAgent(2, self.CONFIG, seed=1)
         clone.load_checkpoint(tmp_path / "a")
         clone.save_checkpoint(tmp_path / "b")
-        names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert "train.f64" in names and len(names) == 11
-        for name in names:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["agent.ckpt"]
+        assert (tmp_path / "a" / "agent.ckpt").read_bytes() == \
+            (tmp_path / "b" / "agent.ckpt").read_bytes()
 
     def test_capacity_mismatch_rejected(self, tmp_path):
         agent, _ = self._run(tmp_path, episodes=1)
@@ -576,3 +576,89 @@ class TestResume:
         other = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=25, hidden=8), seed=1)
         with pytest.raises(ValueError):
             other.load_checkpoint(tmp_path / "ck")
+
+    def _feed(self, view, k):
+        """One arrival and one completion at boundary time 0.5 k (k >= 1)."""
+        now = 0.5 * k
+        view.record_arrival(now)
+        j = k % view.n
+        view.ongoing[j] += 1
+        view.record_completion(completed_task(j, now - 0.2 - 0.1 * j, now - 0.1, now), now)
+        return now
+
+    def test_mid_episode_save_resumes_bit_for_bit(self, tmp_path):
+        agent = SacAgent(2, self.CONFIG, seed=4)
+        view = fresh_view(2)
+        for k in range(1, 13):
+            agent.step(view, self._feed(view, k))
+        assert agent.total_updates > 0 and agent.prev_obs is not None
+        agent.save_checkpoint(tmp_path / "ck")
+        clone = SacAgent(2, self.CONFIG, seed=99)
+        clone.load_checkpoint(tmp_path / "ck")
+        for k in range(13, 16):
+            now = self._feed(view, k)
+            assert agent.step(view, now) == clone.step(view, now)
+        for a, b in zip(agent.buffer.columns(), clone.buffer.columns()):
+            assert a.tobytes() == b.tobytes()
+        for attr in ("actor", "critic", "guiding_critic"):
+            assert getattr(agent.model, attr).flat.tobytes() == \
+                getattr(clone.model, attr).flat.tobytes(), attr
+
+    def test_divergence_dump_loads(self, tmp_path):
+        agent = SacAgent(2, self.CONFIG, seed=4)
+        agent.dump_dir = str(tmp_path)
+        view = fresh_view(2)
+        for k in range(1, 9):
+            agent.step(view, self._feed(view, k))
+        agent.model.critic.flat[:] = np.nan
+        with pytest.raises(nets.DivergenceError):  # the first update, at 8 transitions
+            agent.step(view, self._feed(view, 9))
+        clone = SacAgent(2, self.CONFIG, seed=1)
+        clone.load_checkpoint(tmp_path / "diverged")
+        assert clone.buffer.size == agent.buffer.size == 8
+        assert clone.prev_obs.tobytes() == agent.prev_obs.tobytes()
+        assert np.isnan(clone.model.critic.flat).all()
+
+
+class TestCheckpointFile:
+    CONFIG = SacConfig(batch_size=4, buffer_capacity=16, hidden=8)
+
+    def _saved(self, tmp_path):
+        agent = SacAgent(2, self.CONFIG, seed=3)
+        view = fresh_view(2)
+        for k in range(6):
+            view.record_arrival(0.5 * k)
+            agent.step(view, 0.5 * k)
+        agent.save_checkpoint(tmp_path)
+        return tmp_path / "agent.ckpt"
+
+    def _rejected(self, path):
+        with pytest.raises(ValueError):
+            SacAgent(2, self.CONFIG, seed=1).load_checkpoint(path.parent)
+
+    def test_replay_index_beyond_capacity_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        header_len = int(np.frombuffer(data[8:12], dtype="<u4")[0])
+        header = json.loads(data[12:12 + header_len])
+        header["replay"]["idx"] = header["replay"]["capacity"]
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(data[:8] + np.array([len(blob)], dtype="<u4").tobytes() + blob
+                         + data[12 + header_len:])
+        self._rejected(path)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        self._rejected(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + np.array([2], dtype="<u4").tobytes() + data[8:])
+        self._rejected(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        self._rejected(path)

@@ -21,7 +21,7 @@ TOPO_2S = Topology(1, ((4, 8), (2, 4)))
 
 
 def make_policy(cls=SedPolicy, topo=TOPO_2S, lb=0, seed=0):
-    return cls().bind(topo, lb, np.random.default_rng(seed))
+    return cls().bind(np.random.default_rng(seed))
 
 
 class TestServerSpeed:
@@ -257,8 +257,8 @@ class TestRunEpisode:
                 seen.setdefault(view.lb_id, view)
                 return None, None
 
-        s0, s1 = Spy().bind(topo, 0, np.random.default_rng(1)), \
-            Spy().bind(topo, 1, np.random.default_rng(2))
+        s0, s1 = Spy().bind(np.random.default_rng(1)), \
+            Spy().bind(np.random.default_rng(2))
         run_episode(topo, [s0, s1], tasks, duration=6.0,
                     routing_rng=np.random.default_rng(9))
         total = sum(t.lb_id == 0 for t in tasks)
@@ -310,7 +310,7 @@ class TestProcessorSharingOracle:
             name = "probe"
             seen_violation = False
 
-        probe = Probe().bind(topo, 0, np.random.default_rng(0))
+        probe = Probe().bind(np.random.default_rng(0))
         rng = np.random.default_rng(11)
         tasks = [Task(i, float(rng.exponential(0.5) + 0.05), float(rng.uniform(0, 3)))
                  for i in range(60)]

@@ -21,15 +21,7 @@ GOLDEN = ExperimentConfig(
 
 GOLDEN_SHA256 = {
     "steps.csv": "a652674faf12d9be652be08b533a0ed06dc10ec82c09b872089be706514ff8e9",
-    "actor.head.nn": "24794e314e3c2fd50582901f4fdd25ac23148b790456ae6ba693dddcef870824",
-    "actor.lb.nn": "821a8d6a3ece6e72573c78a54d48a11f5825ccebf917c20bbcf7166291f84ce2",
-    "actor.server.nn": "0802c41e810102915a87f546539d25539aa70ae86579ec6f24e3e79ac04c0a57",
-    "critic.head.nn": "dc0b980c8bc0e3b60f836af3076ac070415963e0e375c1aadfa56ef5c51400dd",
-    "critic.lb.nn": "fdd7d5714e25667eb0035fa930515e3179328d4925cabf8526da208f6af16157",
-    "critic.server.nn": "b88bb3c5e53764580d9057047d80152a3d4d741c06a27bcd9700531f94b15725",
-    "guiding_critic.head.nn": "fc882e3f841e24007e6d115ca5986d21c9dd19509d0e35899cf563f2c462b59f",
-    "guiding_critic.lb.nn": "8a52752326661585671106e094514dba48f49c8e2ad6ec696d172a84c4d6ea71",
-    "guiding_critic.server.nn": "69e1f853504008bc67f840c6fecd6048840785d01eec58849ad0a8cb93e06db2",
+    "agent.ckpt": "9da2c45cb89ff6abefea8a17bb15d38556880fdcdfd8036ce372970191afd494",
 }
 
 
@@ -37,8 +29,7 @@ def _digests(out: str) -> dict:
     found = {}
     ck = os.path.join(out, "checkpoints", "lb0")
     paths = [("steps.csv", os.path.join(out, "steps.csv"))]
-    paths += [(name, os.path.join(ck, name)) for name in sorted(os.listdir(ck))
-              if name.endswith(".nn")]
+    paths += [(name, os.path.join(ck, name)) for name in sorted(os.listdir(ck))]
     for name, path in paths:
         with open(path, "rb") as fh:
             found[name] = hashlib.sha256(fh.read()).hexdigest()

@@ -361,21 +361,3 @@ class TestInputNormalizer:
         x = np.array([3.0, 7.0])
         assert np.array_equal(norm.normalize(x), clone.normalize(x))
 
-
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        rng = np.random.default_rng(10)
-        net = DenseNet.build([7, 16, 16, 3], rng)
-        path = tmp_path / "net.nn"
-        nets.save_net(path, net)
-        loaded = nets.load_net(path)
-        for a, b in zip(net.params(), loaded.params()):
-            assert np.array_equal(a, b)
-        x = rng.normal(size=7)
-        assert np.array_equal(net.forward(x), loaded.forward(x))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.nn"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            nets.load_net(path)
