@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import metrics, nets
+from . import nets
 from .policies import Policy, rlb_assign
 
 LB_FEATURES = 5
@@ -115,23 +115,20 @@ class ReplayBuffer:
         return self.state, self.action, self.reward, self.next_state, self.done
 
 
-def observe(view, now: float, include_duration: bool = True):
-    """Assemble the observation vector and the per-server discounted TCTs.
+def observe(view, now: float, include_duration: bool = True) -> np.ndarray:
+    """Assemble the observation vector.
 
     Layout: LB inter-arrival stats (5), then per server the duration stats
     (5, unless strict observability), TCT stats (5) and the local ongoing
     count (1).  Channels with no samples reduce to zeros.
     """
     parts = [view.interarrival.stats(now).as_array()]
-    w_tilde = np.empty(view.n)
     for j in range(view.n):
         if include_duration:
             parts.append(view.durations[j].stats(now).as_array())
-        tct = view.tcts[j].stats(now)
-        parts.append(tct.as_array())
+        parts.append(view.tcts[j].stats(now).as_array())
         parts.append(np.array([float(view.ongoing[j])]))
-        w_tilde[j] = tct.discounted_average
-    return np.concatenate(parts), w_tilde
+    return np.concatenate(parts)
 
 
 def action_to_speeds(a: np.ndarray) -> np.ndarray:
@@ -324,12 +321,9 @@ class SacModel:
 class SacAgent:
     """One learning load balancer: local observations in, speed weights out."""
 
-    def __init__(self, n_servers: int, config: SacConfig, seed: int, lb_id: int = 0,
-                 reward_index: str = "jain", reward_literal: bool = False):
+    def __init__(self, n_servers: int, config: SacConfig, seed: int, lb_id: int = 0):
         self.n = n_servers
         self.config = config
-        self.reward_index = reward_index
-        self.reward_literal = reward_literal
         init_rng, self.noise_rng, replay_rng = (
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, lb_id, k)))
             for k in range(3))
@@ -360,15 +354,15 @@ class SacAgent:
     def step(self, view, now: float):
         """Step-boundary hook: observe, store, train, refresh the action.
 
-        Returns (reward, per-server speed weights).  The first boundary of
-        an episode stores no transition; training starts once the buffer
-        holds a full batch.
+        Returns the per-server speed weights.  The transition's reward is
+        ``view.reward(now)``, the value the engine records.  The first
+        boundary of an episode stores no transition; training starts once
+        the buffer holds a full batch.
         """
-        obs, w_tilde = observe(view, now, self.config.include_duration)
+        obs = observe(view, now, self.config.include_duration)
         self.normalizer.update(obs)
-        reward = metrics.reward(w_tilde, self.reward_index, self.reward_literal)
         if self.prev_obs is not None:
-            self.buffer.push(Transition(self.prev_obs, self.prev_action, reward,
+            self.buffer.push(Transition(self.prev_obs, self.prev_action, view.reward(now),
                                         obs, False))
         if self.buffer.size >= self.config.batch_size:
             for _ in range(self.config.updates_per_step):
@@ -377,19 +371,17 @@ class SacAgent:
         self.prev_obs = obs
         self.prev_action = action
         self.total_steps += 1
-        return reward, action_to_speeds(action).tolist()
+        return action_to_speeds(action).tolist()
 
-    def episode_end(self, view, now: float) -> float:
+    def episode_end(self, view, now: float) -> None:
         """Close the episode: store the terminal transition (done=True)."""
-        obs, w_tilde = observe(view, now, self.config.include_duration)
+        obs = observe(view, now, self.config.include_duration)
         self.normalizer.update(obs)
-        reward = metrics.reward(w_tilde, self.reward_index, self.reward_literal)
         if self.prev_obs is not None:
-            self.buffer.push(Transition(self.prev_obs, self.prev_action, reward,
+            self.buffer.push(Transition(self.prev_obs, self.prev_action, view.reward(now),
                                         obs, True))
         self.prev_obs = None
         self.prev_action = None
-        return reward
 
     def _act(self, obs: np.ndarray) -> np.ndarray:
         mean, log_std = self.model.actor.forward(self.normalizer.normalize(obs)[None, :])
@@ -493,17 +485,19 @@ class SacAgent:
 
     # -- persistence --------------------------------------------------------
 
-    def _payload(self, replay_rows: int) -> list:
+    def _optimizers(self) -> dict:
+        return {"actor": self.actor_opt, "critic": self.critic_opt, "alpha": self.alpha_opt}
+
+    def _payload(self, replay_rows: int, pending: list) -> list:
         """The checkpoint payload arrays, in file order: the actor, critic and
         guiding-critic parameters, m and v of the actor, critic and
-        temperature optimizers, then the first ``replay_rows`` rows of every
-        replay column.  The pending transition's observation and action
-        follow when the header marks one."""
+        temperature optimizers, the first ``replay_rows`` rows of every
+        replay column, then ``pending``: the observation and action of a
+        pending transition, or nothing."""
         model = self.model
         arrays = [model.actor.flat, model.critic.flat, model.guiding_critic.flat]
-        arrays += [a for opt in (self.actor_opt, self.critic_opt, self.alpha_opt)
-                   for a in (opt.m, opt.v)]
-        return arrays + [column[:replay_rows] for column in self.buffer.columns()]
+        arrays += [a for opt in self._optimizers().values() for a in (opt.m, opt.v)]
+        return arrays + [column[:replay_rows] for column in self.buffer.columns()] + pending
 
     def save_checkpoint(self, directory: str) -> None:
         pending = self.prev_obs is not None
@@ -516,9 +510,7 @@ class SacAgent:
             "total_steps": self.total_steps,
             "total_updates": self.total_updates,
             "normalizer": self.normalizer.state(),
-            "adam_steps": {"actor": self.actor_opt.step_count,
-                           "critic": self.critic_opt.step_count,
-                           "alpha": self.alpha_opt.step_count},
+            "adam_steps": {name: opt.step_count for name, opt in self._optimizers().items()},
             "replay": {"capacity": self.buffer.capacity, "idx": self.buffer._idx,
                        "size": self.buffer.size},
             "rng": {"noise": self.noise_rng.bit_generator.state,
@@ -526,9 +518,8 @@ class SacAgent:
             "pending": pending,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        arrays = self._payload(self.buffer.size)
-        if pending:
-            arrays += [self.prev_obs, self.prev_action]
+        arrays = self._payload(self.buffer.size,
+                               [self.prev_obs, self.prev_action] if pending else [])
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, CHECKPOINT_FILE), "wb") as fh:
             fh.write(_MAGIC)
@@ -564,11 +555,10 @@ class SacAgent:
             raise ValueError(f"{path}: replay size {size} or index {idx} outside "
                              f"capacity {capacity}")
         pending = [np.empty(self.obs_dim), np.empty(self.n)] if header["pending"] else []
-        arrays = self._payload(size) + pending
+        arrays = self._payload(size, pending)
         expected = sum(a.size for a in arrays)
         if len(data) != 8 * expected:
             raise ValueError(f"{path}: {len(data)} payload bytes, expected {8 * expected}")
-
         payload = np.frombuffer(data, dtype="<f8")
         start = 0
         for dst in arrays:
@@ -579,10 +569,8 @@ class SacAgent:
         self.buffer._idx = idx
         self.buffer.size = size
         self.prev_obs, self.prev_action = pending or (None, None)
-        steps = header["adam_steps"]
-        self.actor_opt.step_count = steps["actor"]
-        self.critic_opt.step_count = steps["critic"]
-        self.alpha_opt.step_count = steps["alpha"]
+        for name, opt in self._optimizers().items():
+            opt.step_count = header["adam_steps"][name]
         self.noise_rng.bit_generator.state = header["rng"]["noise"]
         self.buffer.rng.bit_generator.state = header["rng"]["replay"]
         self.model.log_alpha[0] = header["log_alpha"]

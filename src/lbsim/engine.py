@@ -216,13 +216,15 @@ class LocalView:
     always run, because their discounted averages give the reward.
     """
 
-    __slots__ = ("lb_id", "n", "collect", "ongoing", "last_arrival_time", "interarrival",
-                 "durations", "tcts")
+    __slots__ = ("lb_id", "n", "collect", "reward_fn", "ongoing", "last_arrival_time",
+                 "interarrival", "durations", "tcts")
 
-    def __init__(self, lb_id: int, n_servers: int, collect: bool):
+    def __init__(self, lb_id: int, n_servers: int, collect: bool,
+                 reward_fn: Callable = metrics.reward):
         self.lb_id = lb_id
         self.n = n_servers
         self.collect = collect
+        self.reward_fn = reward_fn
         self.ongoing = [0] * n_servers
         self.last_arrival_time: Optional[float] = None
         self.interarrival = ChannelLog(collect)
@@ -243,8 +245,9 @@ class LocalView:
             self.durations[sid].add(now - task.service_start_time, now)
         self.tcts[sid].add(now - task.arrival_time, now)
 
-    def tct_discounted(self, now: float) -> list:
-        return [ch.discounted_average(now) for ch in self.tcts]
+    def reward(self, now: float) -> float:
+        """The LB's reward: ``reward_fn`` of the per-server discounted TCTs."""
+        return self.reward_fn([ch.discounted_average(now) for ch in self.tcts])
 
 
 @dataclass
@@ -283,7 +286,7 @@ def run_episode(
     duration: float,
     step_interval: float = 0.5,
     routing_rng: Optional[np.random.Generator] = None,
-    reward_fn: Optional[Callable] = None,
+    reward_fn: Callable = metrics.reward,
     residual_norm: str = "processors",
 ) -> EpisodeTrace:
     """Run one episode and return its trace.
@@ -308,13 +311,11 @@ def run_episode(
         raise ConfigurationError(f"unknown residual norm {residual_norm!r}")
     if topology.lbs > 1 and routing_rng is None:
         raise ConfigurationError("multi-LB topologies need a routing rng")
-    if reward_fn is None:
-        reward_fn = metrics.reward
 
     n = topology.n_servers
     lbs = topology.lbs
     servers = [ServerState(j, p, p_hat) for j, (p, p_hat) in enumerate(topology.servers)]
-    views = [LocalView(i, n, policies[i].wants_observations) for i in range(lbs)]
+    views = [LocalView(i, n, policies[i].wants_observations, reward_fn) for i in range(lbs)]
     ctxs = [PolicyContext(ongoing=views[i].ongoing,
                           weights=list(policies[i].initial_weights(topology)),
                           rng=policies[i].rng)
@@ -349,12 +350,10 @@ def run_episode(
             fairness_per_boundary.append(metrics.jain(resid))
             for lb in range(lbs):
                 view = views[lb]
-                step_reward, new_weights = policies[lb].on_step(view, now)
+                new_weights = policies[lb].on_step(view, now)
                 if new_weights is not None:
                     ctxs[lb].weights = new_weights
-                if step_reward is None:
-                    step_reward = reward_fn(view.tct_discounted(now))
-                rewards.append((now, lb, step_reward))
+                rewards.append((now, lb, view.reward(now)))
                 ongoing_per_step.append(tuple(view.ongoing))
             k += 1
             # k * step_interval, not boundary + step_interval: repeated addition

@@ -361,9 +361,7 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
     for lb in range(topology.lbs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, lb)))
         if config.policy == "rlb-sac":
-            agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb,
-                             reward_index=config.reward_index,
-                             reward_literal=config.reward_literal)
+            agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb)
             policy = SacPolicy(agent, tie_break=config.tie_break)
         elif config.policy in BASELINE_POLICIES:
             policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)

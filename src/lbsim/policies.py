@@ -101,8 +101,8 @@ class Policy:
     """A dispatch policy bound to one load balancer.
 
     ``select`` is called on every arrival; ``on_step`` at each step boundary
-    and may return a (reward, new_weights) pair; ``on_episode_end`` once per
-    episode after the clock reaches the episode duration.
+    and may return new weights; ``on_episode_end`` once per episode after
+    the clock reaches the episode duration.
 
     Ties default to a seeded-random break: with integer processor counts the
     score-based policies hit exact ties constantly (every SED-balanced state
@@ -129,8 +129,8 @@ class Policy:
     def select(self, ctx: PolicyContext) -> int:
         raise NotImplementedError
 
-    def on_step(self, view, now: float):
-        return None, None
+    def on_step(self, view, now: float) -> Optional[list]:
+        return None
 
     def on_episode_end(self, view, now: float) -> None:
         return None

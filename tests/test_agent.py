@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lbsim import nets
+from lbsim import metrics, nets
 from lbsim.agent import (
     ACTOR_LOG_STD_HI,
     Batch,
@@ -37,7 +37,7 @@ class TestObservation:
         view = fresh_view()
         view.ongoing[0] = 3
         view.ongoing[1] = 1
-        obs = observe(view, now=1.0)[0]
+        obs = observe(view, now=1.0)
         assert obs.shape == (5 + 11 * 2,)
         # per-server blocks: duration(5) + tct(5) + count(1)
         assert np.all(obs[:5] == 0.0)        # no inter-arrival gaps yet
@@ -51,33 +51,33 @@ class TestObservation:
         task = completed_task(0, arrival=1.0, service_start=1.0, completion=1.3)
         view.ongoing[0] = 1
         view.record_completion(task, now=1.3)
-        obs, w = observe(view, now=1.3)
+        obs = observe(view, now=1.3)
         dur_stats = obs[5:10]
         tct_stats = obs[10:15]
         assert abs(dur_stats[0] - 0.3) < 1e-12     # average duration
         assert abs(tct_stats[0] - 0.3) < 1e-12     # average TCT
-        assert abs(w[0] - 0.3) < 1e-12
+        assert abs(view.tcts[0].discounted_average(1.3) - 0.3) < 1e-12
 
     def test_queued_task_tct_includes_wait(self):
         view = fresh_view()
         task = completed_task(1, arrival=0.0, service_start=0.2, completion=0.5)
         view.ongoing[1] = 1
         view.record_completion(task, now=0.5)
-        obs, w = observe(view, now=0.5)
+        obs = observe(view, now=0.5)
         assert abs(obs[16 + 0] - 0.3) < 1e-12      # duration excludes the wait
         assert abs(obs[21 + 0] - 0.5) < 1e-12      # TCT includes it
-        assert abs(w[1] - 0.5) < 1e-12
+        assert abs(view.tcts[1].discounted_average(0.5) - 0.5) < 1e-12
 
     def test_strict_observability_drops_duration(self):
         view = fresh_view()
-        obs = observe(view, now=0.0, include_duration=False)[0]
+        obs = observe(view, now=0.0, include_duration=False)
         assert obs.shape == (5 + 6 * 2,)
 
     def test_interarrival_gaps(self):
         view = fresh_view()
         for t in (1.0, 1.5, 2.5):
             view.record_arrival(t)
-        obs = observe(view, now=2.5)[0]
+        obs = observe(view, now=2.5)
         assert abs(obs[0] - 0.75) < 1e-12  # mean of gaps 0.5 and 1.0
 
 
@@ -378,7 +378,7 @@ class TestStepPipeline:
 
     def test_weights_equal_action_map_of_sampled_action(self):
         agent = tiny_agent(n=2)
-        (_, speeds), = self._run_steps(agent, steps=1)[:1]
+        speeds, = self._run_steps(agent, steps=1)[:1]
         assert speeds == action_to_speeds(agent.prev_action).tolist()
 
     def test_episode_end_stores_terminal_and_resets(self):
@@ -433,6 +433,36 @@ class TestEngineIntegration:
         assert c1 == c2
         for x, y in zip(a1.model.actor.params(), a2.model.actor.params()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("index,literal", [("jain", False), ("bossaer", False),
+                                               ("jain", True)])
+    def test_transitions_carry_the_engine_reward(self, index, literal):
+        def reward_fn(w):
+            return metrics.reward(w, index, literal)
+
+        agent = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=100), seed=6)
+        by_definition = []
+        ends = []
+
+        class Spy(SacPolicy):
+            def on_step(self, view, now):
+                by_definition.append(reward_fn([ch.discounted_average(now)
+                                                for ch in view.tcts]))
+                return super().on_step(view, now)
+
+            def on_episode_end(self, view, now):
+                ends.append(view.reward(now))
+                super().on_episode_end(view, now)
+
+        policy = Spy(agent).bind(np.random.default_rng(6))
+        tasks = generate(TrafficSpec(0.9, "identical", 0.1, seed=6), self.TOPO, 10.0, episode=0)
+        trace = run_episode(self.TOPO, [policy], tasks, 10.0, reward_fn=reward_fn)
+        recorded = [r for _, _, r in trace.rewards]
+        assert recorded == by_definition
+        # transition k is stored at boundary k + 1; the last one at the end
+        stored = agent.buffer.reward[:agent.buffer.size].tolist()
+        assert stored == recorded[1:] + ends
+        assert agent.buffer.done[agent.buffer.size - 1] == 1.0
 
     def test_speeds_frozen_between_boundaries(self):
         agent = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=100), seed=5)

@@ -182,7 +182,7 @@ class TestRunEpisode:
         class Spy(SedPolicy):
             def on_step(self, view, now):
                 seen.append((now, sum(view.ongoing)))
-                return None, None
+                return None
 
         tasks = [Task(0, 0.1, 0.0), Task(1, 0.1, 1.0)]
         trace = run_episode(TOPO_2S, [make_policy(Spy)], tasks, duration=2.0,
@@ -196,7 +196,7 @@ class TestRunEpisode:
         class Spy(SedPolicy):
             def on_step(self, view, now):
                 views.append(view)
-                return None, None
+                return None
 
         tasks = [Task(i, 0.1, 0.2 * i) for i in range(10)]
         run_episode(TOPO_2S, [make_policy(Spy)], tasks, duration=3.0)
@@ -255,7 +255,7 @@ class TestRunEpisode:
 
             def on_step(self, view, now):
                 seen.setdefault(view.lb_id, view)
-                return None, None
+                return None
 
         s0, s1 = Spy().bind(np.random.default_rng(1)), \
             Spy().bind(np.random.default_rng(2))

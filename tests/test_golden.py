@@ -20,8 +20,8 @@ GOLDEN = ExperimentConfig(
 )
 
 GOLDEN_SHA256 = {
-    "steps.csv": "a652674faf12d9be652be08b533a0ed06dc10ec82c09b872089be706514ff8e9",
-    "agent.ckpt": "9da2c45cb89ff6abefea8a17bb15d38556880fdcdfd8036ce372970191afd494",
+    "steps.csv": "1c24ec632fd4e9fad466b830eb66868a86b50a4a0fbd49a332e079a71a19c2e3",
+    "agent.ckpt": "e2ff43b288db11788fe47c5e4637ddf1c029893b24e738ba590de74fec8591c8",
 }
 
 
