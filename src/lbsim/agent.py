@@ -122,13 +122,13 @@ def observe(view, now: float, include_duration: bool = True) -> np.ndarray:
     (5, unless strict observability), TCT stats (5) and the local ongoing
     count (1).  Channels with no samples reduce to zeros.
     """
-    parts = [view.interarrival.stats(now).as_array()]
+    parts = list(view.interarrival.stats(now))
     for j in range(view.n):
         if include_duration:
-            parts.append(view.durations[j].stats(now).as_array())
-        parts.append(view.tcts[j].stats(now).as_array())
-        parts.append(np.array([float(view.ongoing[j])]))
-    return np.concatenate(parts)
+            parts += view.durations[j].stats(now)
+        parts += view.tcts[j].stats(now)
+        parts.append(float(view.ongoing[j]))
+    return np.array(parts)
 
 
 def action_to_speeds(a: np.ndarray) -> np.ndarray:
@@ -364,6 +364,8 @@ class SacAgent:
         if self.prev_obs is not None:
             self.buffer.push(Transition(self.prev_obs, self.prev_action, view.reward(now),
                                         obs, False))
+            # stored: a checkpoint written if training diverges has nothing pending
+            self.prev_obs = self.prev_action = None
         if self.buffer.size >= self.config.batch_size:
             for _ in range(self.config.updates_per_step):
                 self.train_step()

@@ -16,6 +16,7 @@ completions through a LocalView; policies never see another LB's state.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -167,17 +168,20 @@ def residual_workload(server: ServerState, now: Optional[float] = None) -> float
 class ChannelLog:
     """Timed sample channel with O(1) discounted-sum accumulators.
 
-    Full sample lists are kept only when ``collect`` is set (needed for the
-    percentile/std reductions used by observation building); the discounted
-    accumulators are always maintained for reward computation.
+    When ``collect`` is set, the samples are kept in contiguous float64
+    arrays (needed for the percentile/std reductions used by observation
+    building), which ``stats`` reduces through zero-copy views made per
+    call; a view must not outlive the call, because an array that exports
+    its buffer cannot grow.  The discounted accumulators are always
+    maintained for reward computation.
     """
 
     __slots__ = ("collect", "values", "times", "count", "_dsum", "_last_t")
 
     def __init__(self, collect: bool):
         self.collect = collect
-        self.values: list = []
-        self.times: list = []
+        self.values = array("d")
+        self.times = array("d")
         self.count = 0
         self._dsum = 0.0
         self._last_t = 0.0
@@ -204,8 +208,7 @@ class ChannelLog:
             return metrics.ChannelStats()
         if not self.collect:
             raise SimulationError("channel was not collecting samples")
-        return metrics.reduce_arrays(
-            np.asarray(self.values, dtype=float), np.asarray(self.times, dtype=float), now)
+        return metrics.reduce_arrays(np.frombuffer(self.values), np.frombuffer(self.times), now)
 
 
 class LocalView:

@@ -9,7 +9,7 @@ seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,27 +22,14 @@ class TimedSample:
     timestamp: float
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """Five-scalar summary of a timed sample channel."""
+class ChannelStats(NamedTuple):
+    """Five-scalar summary of a timed sample channel, in observation order."""
 
     average: float = 0.0
     p90: float = 0.0
     std: float = 0.0
     discounted_average: float = 0.0
     weighted_discounted_average: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.average,
-                self.p90,
-                self.std,
-                self.discounted_average,
-                self.weighted_discounted_average,
-            ],
-            dtype=float,
-        )
 
 
 def p90(values: np.ndarray) -> float:
@@ -66,20 +53,26 @@ def p90(values: np.ndarray) -> float:
 
 
 def reduce_arrays(values: np.ndarray, times: np.ndarray, now: float) -> ChannelStats:
-    """Reduce parallel value/timestamp arrays to ChannelStats."""
-    if values.size == 0:
+    """Reduce parallel value/timestamp arrays to ChannelStats.
+
+    The mean is computed once and reused for the standard deviation; both
+    run the ufunc sequence of ``mean``/``std``, so they match them bit for bit.
+    """
+    n = values.size
+    if n == 0:
         return ChannelStats()
-    if values.size != times.size:
+    if n != times.size:
         raise ValueError("values and timestamps must have equal length")
+    mean = values.sum() / n
+    dev = np.square(values - mean)
     weights = DISCOUNT_BASE ** (now - times)
-    weighted = weights * values
-    wsum = float(weights.sum())
+    weighted = float((weights * values).sum())
     return ChannelStats(
-        average=float(values.mean()),
+        average=float(mean),
         p90=p90(values),
-        std=float(values.std()),
-        discounted_average=float(weighted.sum() / values.size),
-        weighted_discounted_average=float(weighted.sum() / wsum),
+        std=float(np.sqrt(dev.sum() / n)),
+        discounted_average=weighted / n,
+        weighted_discounted_average=weighted / float(weights.sum()),
     )
 
 

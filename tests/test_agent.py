@@ -80,6 +80,40 @@ class TestObservation:
         obs = observe(view, now=2.5)
         assert abs(obs[0] - 0.75) < 1e-12  # mean of gaps 0.5 and 1.0
 
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("include_duration", [True, False])
+    def test_bit_equal_to_per_channel_reduce(self, n, include_duration):
+        rng = np.random.default_rng(n)
+        view = fresh_view(n)
+        gaps, durations, tcts = [], [[] for _ in range(n)], [[] for _ in range(n)]
+        now = 0.0
+        for k in range(300):
+            last, now = now, now + float(rng.exponential(0.02))
+            view.record_arrival(now)
+            if k:
+                gaps.append((now - last, now))
+            j = int(rng.integers(n))
+            start = now - float(rng.uniform(0.0, 0.1))
+            task = completed_task(j, start - float(rng.uniform(0.0, 0.1)), start, now)
+            view.ongoing[j] += 1
+            view.record_completion(task, now)
+            durations[j].append((now - start, now))
+            tcts[j].append((now - task.arrival_time, now))
+        view.ongoing[:] = rng.integers(0, 5, n).tolist()
+        at = now + 0.3
+
+        def five(pairs):
+            s = metrics.reduce(pairs, at)
+            return [s.average, s.p90, s.std, s.discounted_average,
+                    s.weighted_discounted_average]
+
+        expected = five(gaps)
+        for j in range(n):
+            expected += (five(durations[j]) if include_duration else []) + five(tcts[j])
+            expected.append(float(view.ongoing[j]))
+        obs = observe(view, at, include_duration)
+        assert obs.tobytes() == np.array(expected).tobytes()
+
 
 class TestActionToSpeeds:
     def test_zero_action_midpoint(self):
@@ -646,8 +680,27 @@ class TestResume:
         clone = SacAgent(2, self.CONFIG, seed=1)
         clone.load_checkpoint(tmp_path / "diverged")
         assert clone.buffer.size == agent.buffer.size == 8
-        assert clone.prev_obs.tobytes() == agent.prev_obs.tobytes()
+        # the 8th transition is stored, so nothing is pending any more
+        assert clone.prev_obs is None and agent.prev_obs is None
         assert np.isnan(clone.model.critic.flat).all()
+
+    def test_divergence_dump_resumes_without_a_second_copy(self, tmp_path):
+        agent = SacAgent(2, self.CONFIG, seed=4)
+        agent.dump_dir = str(tmp_path)
+        view = fresh_view(2)
+        for k in range(1, 9):
+            agent.step(view, self._feed(view, k))
+        agent.model.critic.flat[:] = np.nan
+        with pytest.raises(nets.DivergenceError):
+            agent.step(view, self._feed(view, 9))
+        clone = SacAgent(2, self.CONFIG, seed=1)
+        clone.load_checkpoint(tmp_path / "diverged")
+        clone.model.critic.flat[:] = clone.model.guiding_critic.flat  # finite again
+        clone.step(view, self._feed(view, 10))
+        buf = clone.buffer
+        rows = {(buf.state[i].tobytes(), buf.action[i].tobytes()) for i in range(buf.size)}
+        assert len(rows) == buf.size == 8
+        assert clone.total_updates == 1
 
 
 class TestCheckpointFile:

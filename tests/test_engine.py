@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
+from lbsim import metrics
 from lbsim.engine import (
+    ChannelLog,
     ConfigurationError,
+    LocalView,
     ServerState,
     SimulationError,
     Task,
@@ -326,3 +331,52 @@ class TestProcessorSharingOracle:
                 assert task.dispatch_time is not None
         if server.backlog:
             assert len(server.in_service) == server.p_hat
+
+
+class TestChannelLog:
+    @staticmethod
+    def _growth_points(limit):
+        """The sample counts at which a channel's value storage reallocates."""
+        log = ChannelLog(True)
+        points, size = [], sys.getsizeof(log.values)
+        for k in range(1, limit + 1):
+            log.add(0.0, 0.0)
+            if sys.getsizeof(log.values) != size:
+                points.append(k)
+                size = sys.getsizeof(log.values)
+        return points
+
+    def test_stats_bit_equal_to_reduce(self):
+        points = self._growth_points(4000)
+        assert len(points) > 10
+        sizes = {1, 2, 4000} | {k + d for k in points for d in (-1, 0, 1)}
+        rng = np.random.default_rng(5)
+        log = ChannelLog(True)
+        pairs = []
+        now = 0.0
+        for k in range(1, max(sizes) + 1):
+            now += float(rng.exponential(0.01))
+            value = float(rng.exponential(0.3))
+            log.add(value, now)
+            pairs.append((value, now))
+            if k in sizes:
+                at = now + 0.25
+                got, want = log.stats(at), metrics.reduce(pairs, at)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), k
+
+    def test_non_collecting_view_stores_no_samples(self):
+        view = LocalView(0, 2, collect=False)
+        for k in range(1, 6):
+            now = 0.5 * k
+            view.record_arrival(now)
+            task = Task(k, 0.1, now - 0.3)
+            task.server_id = k % 2
+            task.service_start_time = now - 0.2
+            view.ongoing[task.server_id] += 1
+            view.record_completion(task, now)
+        channels = [view.interarrival, *view.durations, *view.tcts]
+        assert all(len(ch.values) == len(ch.times) == 0 for ch in channels)
+        assert [ch.count for ch in view.tcts] == [2, 3]
+        for ch in view.tcts:
+            with pytest.raises(SimulationError):
+                ch.stats(3.0)

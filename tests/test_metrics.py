@@ -75,6 +75,22 @@ class TestReduce:
         assert np.float64(metrics.p90(arr)).tobytes() == expected.tobytes()
 
 
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 100.0)),
+                    min_size=1, max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_reduce_arrays_matches_numpy_bitwise(self, pairs):
+        values = np.array([v for v, _ in pairs])
+        times = np.array([t for _, t in pairs])
+        weighted = 0.9 ** (100.0 - times) * values
+        expected = [values.mean(), np.percentile(values, 90.0), values.std(),
+                    weighted.sum() / values.size,
+                    weighted.sum() / (0.9 ** (100.0 - times)).sum()]
+        got = metrics.reduce_arrays(values, times, 100.0)
+        got = [got.average, got.p90, got.std, got.discounted_average,
+               got.weighted_discounted_average]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 class TestFairnessIndices:
     def test_jain_examples(self):
         assert abs(jain([2.0, 2.0, 2.0]) - 1.0) < 1e-12
