@@ -668,23 +668,8 @@ class TestResume:
             assert getattr(agent.model, attr).flat.tobytes() == \
                 getattr(clone.model, attr).flat.tobytes(), attr
 
-    def test_divergence_dump_loads(self, tmp_path):
-        agent = SacAgent(2, self.CONFIG, seed=4)
-        agent.dump_dir = str(tmp_path)
-        view = fresh_view(2)
-        for k in range(1, 9):
-            agent.step(view, self._feed(view, k))
-        agent.model.critic.flat[:] = np.nan
-        with pytest.raises(nets.DivergenceError):  # the first update, at 8 transitions
-            agent.step(view, self._feed(view, 9))
-        clone = SacAgent(2, self.CONFIG, seed=1)
-        clone.load_checkpoint(tmp_path / "diverged")
-        assert clone.buffer.size == agent.buffer.size == 8
-        # the 8th transition is stored, so nothing is pending any more
-        assert clone.prev_obs is None and agent.prev_obs is None
-        assert np.isnan(clone.model.critic.flat).all()
-
-    def test_divergence_dump_resumes_without_a_second_copy(self, tmp_path):
+    def _diverged(self, tmp_path):
+        """Diverge at the first update (8 transitions); load the dump into a clone."""
         agent = SacAgent(2, self.CONFIG, seed=4)
         agent.dump_dir = str(tmp_path)
         view = fresh_view(2)
@@ -695,6 +680,17 @@ class TestResume:
             agent.step(view, self._feed(view, 9))
         clone = SacAgent(2, self.CONFIG, seed=1)
         clone.load_checkpoint(tmp_path / "diverged")
+        return agent, view, clone
+
+    def test_divergence_dump_loads(self, tmp_path):
+        agent, _, clone = self._diverged(tmp_path)
+        assert clone.buffer.size == agent.buffer.size == 8
+        # the 8th transition is stored, so nothing is pending any more
+        assert clone.prev_obs is None and agent.prev_obs is None
+        assert np.isnan(clone.model.critic.flat).all()
+
+    def test_divergence_dump_resumes_without_a_second_copy(self, tmp_path):
+        _, view, clone = self._diverged(tmp_path)
         clone.model.critic.flat[:] = clone.model.guiding_critic.flat  # finite again
         clone.step(view, self._feed(view, 10))
         buf = clone.buffer
