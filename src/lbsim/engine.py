@@ -5,10 +5,11 @@ tasks at once; each in-service task progresses at speed 1 when the ongoing
 count is <= p and at p / min(p_hat, count) otherwise, and overflow waits in
 a FIFO backlog at speed zero.  The shared speed preserves the order of
 remaining work, so each server has a single pending completion: the time
-its least-remaining task finishes, recomputed whenever the server's
-membership changes.  The event loop merges three sources: the pre-sorted
-arrivals, a step-boundary grid shared by all LBs, and those per-server
-completion times.
+its least-remaining task finishes.  The server caches its speed, and both
+are recomputed only when its membership changes; one pass drains the
+server and finds the least remaining work.  The event loop merges three
+sources: the pre-sorted arrivals, a step-boundary grid shared by all LBs,
+and those per-server completion times.
 
 Each load balancer observes only its own arrivals, dispatches and
 completions through a LocalView; policies never see another LB's state.
@@ -19,6 +20,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,10 +58,10 @@ class Task:
 
 
 class ServerState:
-    """Mutable server: in-service task list, FIFO backlog, lazy clock."""
+    """Mutable server: in-service tasks, FIFO backlog, lazy clock, cached speed."""
 
     __slots__ = ("id", "p", "p_hat", "in_service", "backlog", "backlog_work",
-                 "last_update_time")
+                 "last_update_time", "speed")
 
     def __init__(self, server_id: int, p: int, p_hat: int):
         if p < 1:
@@ -73,6 +75,7 @@ class ServerState:
         self.backlog: deque[Task] = deque()
         self.backlog_work = 0.0
         self.last_update_time = 0.0
+        self.speed = 1.0
 
 
 @dataclass(frozen=True)
@@ -113,41 +116,59 @@ def server_speed(count: int, p: int, p_hat: int) -> float:
     return p / (p_hat if count > p_hat else count)
 
 
-def advance_server(server: ServerState, to_time: float) -> ServerState:
-    """Advance the server clock, draining in-service work at the shared speed.
+def advance_server(server: ServerState, to_time: float) -> tuple:
+    """Advance the server clock, draining in-service work at the cached speed.
 
-    Valid only while membership is unchanged since the last update; the
-    engine guarantees that by advancing on every membership event.
+    Valid only while membership is unchanged since the speed was last
+    refreshed; the engine guarantees that by advancing on every membership
+    event.  The same pass returns what the next completion time needs: the
+    index of the first in-service task with the least remaining work (-1
+    when idle), that least remaining work, and the second least (``inf``
+    where absent).
     """
     dt = to_time - server.last_update_time
     if dt < 0:
         raise SimulationError(f"server {server.id}: time moved backwards by {-dt}")
-    if dt == 0.0:
-        return server
-    ins = server.in_service
-    if ins:
-        dec = server_speed(len(ins) + len(server.backlog), server.p, server.p_hat) * dt
-        for task in ins:
-            r = task.remaining_work - dec
-            task.remaining_work = r if r > 0.0 else 0.0
     server.last_update_time = to_time
-    return server
+    dec = server.speed * dt
+    first = -1
+    least = second = math.inf
+    for k, task in enumerate(server.in_service):
+        r = task.remaining_work - dec
+        task.remaining_work = r = r if r > 0.0 else 0.0
+        if r < second:
+            if r < least:
+                first, least, second = k, r, least
+            else:
+                second = r
+    return first, least, second
 
 
-def dispatch(task: Task, server: ServerState, now: float) -> ServerState:
-    """Place a task on a server: into service if a slot is free, else backlog."""
+def reschedule(server: ServerState, now: float, least: float) -> float:
+    """Refresh the cached speed after an admission or a completion; return when
+    the task with ``least`` remaining work finishes (``inf`` when idle)."""
+    speed = server.speed = server_speed(len(server.in_service) + len(server.backlog),
+                                        server.p, server.p_hat)
+    return now + least / speed
+
+
+def dispatch(task: Task, server: ServerState, now: float) -> float:
+    """Place a task on a server, into service if a slot is free, else backlog;
+    return the server's next completion time."""
     if task.dispatch_time is not None:
         raise SimulationError(f"task {task.id} already dispatched")
-    advance_server(server, now)
+    least = advance_server(server, now)[1]
     task.server_id = server.id
     task.dispatch_time = now
     if len(server.in_service) < server.p_hat:
         task.service_start_time = now
         server.in_service.append(task)
+        if task.remaining_work < least:
+            least = task.remaining_work
     else:
         server.backlog.append(task)
         server.backlog_work += task.workload
-    return server
+    return reschedule(server, now, least)
 
 
 def residual_workload(server: ServerState, now: Optional[float] = None) -> float:
@@ -267,21 +288,6 @@ class EpisodeTrace:
     ongoing_per_step: list           # the LB's ongoing counts, aligned with rewards
 
 
-def _next_completion(server: ServerState, now: float) -> float:
-    """When the least-remaining in-service task finishes at the current speed.
-
-    ``inf`` for an idle server.  Valid until the server's membership changes.
-    """
-    ins = server.in_service
-    if not ins:
-        return math.inf
-    m = ins[0].remaining_work
-    for t in ins:
-        if t.remaining_work < m:
-            m = t.remaining_work
-    return now + m / server_speed(len(ins) + len(server.backlog), server.p, server.p_hat)
-
-
 def run_episode(
     topology: Topology,
     policies: Sequence[Policy],
@@ -301,7 +307,7 @@ def run_episode(
     first, then the arrival.  At a boundary every LB steps, in LB order;
     the boundary at exactly ``duration`` is excluded.  With several LBs,
     each arrival is routed to one of them uniformly at random from
-    ``routing_rng``.
+    ``routing_rng``, drawn for the whole episode at once.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration}")
@@ -331,7 +337,11 @@ def run_episode(
     rewards: list = []
     ongoing_per_step: list = []
     completed = 0
-    multi_lb = lbs > 1
+    # one array draw per episode: the same stream as one scalar draw per arrival
+    routes = iter(routing_rng.integers(lbs, size=len(arrivals)).tolist() if lbs > 1
+                  else repeat(0))
+    # bound once per episode, so a select patched onto the class before it is used
+    selects = [policy.select for policy in policies]
 
     done_at = [math.inf] * n
     next_index = 0
@@ -341,10 +351,11 @@ def run_episode(
 
     while True:
         soonest = min(done_at)
-        now = min(boundary, soonest, next_arrival)
+        now = soonest if soonest <= next_arrival else next_arrival
+        if boundary <= now:
+            now = boundary
         if now >= duration:
             break
-
         if now == boundary:
             for server in servers:
                 advance_server(server, now)
@@ -364,16 +375,10 @@ def run_episode(
             boundary = k * step_interval
 
         elif now == soonest:
-            server = servers[done_at.index(now)]
-            advance_server(server, now)
-            ins = server.in_service
-            mi = 0
-            mv = ins[0].remaining_work
-            for i in range(1, len(ins)):
-                if ins[i].remaining_work < mv:
-                    mv = ins[i].remaining_work
-                    mi = i
-            task = ins.pop(mi)
+            sid = done_at.index(now)
+            server = servers[sid]
+            first, _, least = advance_server(server, now)
+            task = server.in_service.pop(first)
             task.remaining_work = 0.0
             task.completion_time = now
             if server.backlog:
@@ -383,26 +388,26 @@ def run_episode(
                 server.backlog_work = (server.backlog_work - promoted.workload
                                        if server.backlog else 0.0)
                 promoted.service_start_time = now
-                ins.append(promoted)
+                server.in_service.append(promoted)
+                if promoted.remaining_work < least:
+                    least = promoted.remaining_work
             views[task.lb_id].record_completion(task, now)
             completed += 1
-            done_at[server.id] = _next_completion(server, now)
+            done_at[sid] = reschedule(server, now, least)
 
         else:
             task = arrivals[next_index]
+            lb = task.lb_id = next(routes)
             next_index += 1
             next_arrival = (arrivals[next_index].arrival_time
                             if next_index < len(arrivals) else math.inf)
-            lb = int(routing_rng.integers(lbs)) if multi_lb else 0
-            task.lb_id = lb
             view = views[lb]
             view.record_arrival(now)
-            sid = policies[lb].select(ctxs[lb])
+            sid = selects[lb](ctxs[lb])
             if not 0 <= sid < n:
                 raise ConfigurationError(f"policy {policies[lb].name} chose server {sid}")
-            dispatch(task, servers[sid], now)
             view.ongoing[sid] += 1
-            done_at[sid] = _next_completion(servers[sid], now)
+            done_at[sid] = dispatch(task, servers[sid], now)
 
     for server in servers:
         advance_server(server, duration)

@@ -495,10 +495,17 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
 
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else (os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
+        if env is not None:
+            workers = int(env) if env.strip().isdecimal() else 0
+            if workers < 1:
+                raise ConfigurationError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
     workers = max(1, min(workers, len(policies) * len(rates) * len(seeds)))
 
-    jobs = [(config, p, r, s) for p in policies for r in rates for s in seeds]
+    # heaviest cells first: a cell's tasks scale with its rate, and the stable
+    # sort keeps each cell's seeds in order
+    jobs = sorted(((config, p, r, s) for p in policies for r in rates for s in seeds),
+                  key=lambda job: -job[2])
     if workers == 1:
         outcomes = [_sweep_cell(job) for job in jobs]
     else:

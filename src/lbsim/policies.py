@@ -33,16 +33,22 @@ class PolicyContext:
 
 
 def _argmin(scores, tie_break: str, rng) -> int:
+    """Index of the least score; one pass counts its ties, and only a random
+    tie-break with a tie to break builds the tie list and draws from ``rng``."""
     best = 0
     best_v = scores[0]
+    ties = 1
     for j in range(1, len(scores)):
-        if scores[j] < best_v:
-            best_v = scores[j]
+        v = scores[j]
+        if v < best_v:
+            best_v = v
             best = j
-    if tie_break == "random":
-        ties = [j for j, v in enumerate(scores) if v == best_v]
-        if len(ties) > 1:
-            return int(ties[int(rng.integers(len(ties)))])
+            ties = 1
+        elif v == best_v:
+            ties += 1
+    if ties > 1 and tie_break == "random":
+        tied = [j for j, v in enumerate(scores) if v == best_v]
+        return tied[int(rng.integers(ties))]
     return best
 
 

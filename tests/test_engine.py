@@ -1,9 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from lbsim import metrics
+from lbsim import metrics, traffic
 from lbsim.engine import (
     ChannelLog,
     ConfigurationError,
@@ -14,6 +15,7 @@ from lbsim.engine import (
     Topology,
     advance_server,
     dispatch,
+    reschedule,
     residual_workload,
     run_episode,
     server_speed,
@@ -82,6 +84,22 @@ class TestAdvanceServer:
         assert all(t.remaining_work == 1.0 for t in server.backlog)
         # 10 ongoing -> speed 0.5 for the 8 in service
         assert all(abs(t.remaining_work - 0.75) < 1e-15 for t in server.in_service)
+
+    def test_drain_returns_least_and_second_least(self):
+        # the first of tied least tasks is the one to complete; the second
+        # least is what remains once it has left
+        server = self._server_with([0.5, 0.2, 0.9, 0.2])
+        assert advance_server(server, 0.1) == (1, 0.2 - 0.1, 0.2 - 0.1)
+        assert [t.remaining_work for t in server.in_service] == \
+            [0.5 - 0.1, 0.2 - 0.1, 0.9 - 0.1, 0.2 - 0.1]
+        server = self._server_with([0.5, 0.3])
+        assert advance_server(server, 0.4) == (1, 0.0, 0.5 - 0.4)
+        assert advance_server(ServerState(1, 4, 8), 1.0) == (-1, math.inf, math.inf)
+
+    def test_idle_server_never_completes(self):
+        server = ServerState(0, 4, 8)
+        assert reschedule(server, 2.0, math.inf) == math.inf
+        assert server.speed == 1.0
 
     def test_negative_dt_rejected(self):
         server = self._server_with([0.5])
@@ -269,6 +287,17 @@ class TestRunEpisode:
         total = sum(t.lb_id == 0 for t in tasks)
         assert 0 < total < len(tasks)  # both LBs saw traffic
         assert seen[0] is not seen[1]
+
+    def test_routing_equals_scalar_draws(self):
+        # the episode's routes, drawn as one array, are the draws one scalar
+        # integers(lbs) call per arrival would give
+        topo = Topology(2, ((2, 4), (2, 4)))
+        tasks = [Task(i, 0.1, 0.01 * i) for i in range(500)]
+        policies = [make_policy(LsqPolicy, topo, lb, lb) for lb in range(2)]
+        run_episode(topo, policies, tasks, duration=6.0,
+                    routing_rng=traffic.routing_stream(4, 1))
+        scalar = traffic.routing_stream(4, 1)
+        assert [t.lb_id for t in tasks] == [int(scalar.integers(2)) for _ in tasks]
 
     def test_backlog_blocks_when_cap_reached(self):
         # p=1, p_hat=2: third concurrent task must wait in the backlog

@@ -298,6 +298,33 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(TINY, rates=[], policies=["sed"], seeds=[0])
 
+    def test_heaviest_cells_run_first(self, tmp_path, monkeypatch):
+        import lbsim.harness as hmod
+
+        order = []
+        real = hmod._sweep_cell
+
+        def spy(job):
+            order.append(job[1:])
+            return real(job)
+
+        monkeypatch.setattr(hmod, "_sweep_cell", spy)
+        config = replace(TINY, episodes=1, first_episode_duration=2.0)
+        run_sweep(config, rates=[0.6, 0.9, 0.7], policies=["sed", "lsq"], seeds=[0, 1],
+                  workers=1, write_files=False)
+        assert order == [(p, r, s) for r in (0.9, 0.7, 0.6) for p in ("sed", "lsq")
+                         for s in (0, 1)]
+
+    def test_table_identical_across_worker_counts(self, tmp_path):
+        tables = []
+        for workers in (1, 2):
+            out = str(tmp_path / f"w{workers}")
+            run_sweep(replace(TINY, out_dir=out), rates=[0.6, 1.0, 0.8],
+                      policies=["sed", "ecmp"], seeds=[0, 1], workers=workers)
+            with open(os.path.join(out, "table.csv"), "rb") as fh:
+                tables.append(fh.read())
+        assert tables[0] == tables[1]
+
     def test_sweep_manifest_rerun_bitwise(self, tmp_path):
         config = replace(TINY, out_dir=str(tmp_path / "a"))
         run_sweep(config, rates=[0.8], policies=["sed", "ecmp"], seeds=[0, 1],
@@ -356,6 +383,16 @@ class TestCli:
                          "--policies", "sed", "--seeds", "0", "--out", out]) == 1
         assert cli.main(["sweep", "--config", path, "--rates", "0.8",
                          "--policies", "sed", "--seeds", "0,y", "--out", out]) == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("LBSIM_WORKERS", value)
+        path = self._write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, "--rates", "0.8",
+                         "--policies", "sed", "--seeds", "0", "--out", out]) == 1
+        assert "LBSIM_WORKERS" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_sweep_cli(self, tmp_path):

@@ -150,6 +150,16 @@ class TestFairnessIndices:
     def test_bossaer_more_sensitive_than_jain(self, k):
         assert bossaer([1.0, k]) < jain([1.0, k])
 
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_jain_bit_equal_to_mean_form(self, values):
+        x = np.asarray(values)
+        if x.max() == 0.0:
+            assert jain(values) == 1.0
+        else:
+            want = np.mean(x) ** 2 / np.mean(x * x)  # nan when x * x underflows
+            assert np.float64(jain(values)).tobytes() == want.tobytes()
+
     def test_jain_at_least_one_over_n(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbsim.policies import PolicyContext, ecmp, lsq, rlb_assign, sed, wcmp
+from lbsim.policies import PolicyContext, _argmin, ecmp, lsq, rlb_assign, sed, wcmp
 
 
 def ctx(ongoing, weights=None, seed=0):
@@ -142,3 +142,30 @@ class TestRandomTieBreak:
                               rng=np.random.default_rng(11))
             seq.append([lsq(c, tie_break="random") for _ in range(100)])
         assert seq[0] == seq[1]
+
+
+def _argmin_two_pass(scores, tie_break, rng):
+    """The earlier _argmin, kept as the reference: a scan, then a tie list."""
+    best = 0
+    best_v = scores[0]
+    for j in range(1, len(scores)):
+        if scores[j] < best_v:
+            best_v = scores[j]
+            best = j
+    if tie_break == "random":
+        ties = [j for j, v in enumerate(scores) if v == best_v]
+        if len(ties) > 1:
+            return int(ties[int(rng.integers(len(ties)))])
+    return best
+
+
+class TestArgminStream:
+    @given(st.lists(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5]), min_size=1, max_size=8),
+                    min_size=1, max_size=20),
+           st.sampled_from(["random", "lowest"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_index_and_rng_state_as_two_pass(self, score_lists, tie_break, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for scores in score_lists:
+            assert _argmin(scores, tie_break, ours) == _argmin_two_pass(scores, tie_break, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
