@@ -37,9 +37,9 @@ class SimulationError(RuntimeError):
     """Internal invariant violation inside the event engine."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Task:
-    """One unit of work: ``workload`` seconds of single-processor time."""
+    """One unit of work, ``workload`` single-processor seconds; equal only to itself."""
 
     id: int
     workload: float
@@ -119,26 +119,24 @@ def server_speed(count: int, p: int, p_hat: int) -> float:
 def advance_server(server: ServerState, to_time: float) -> tuple:
     """Advance the server clock, draining in-service work at the cached speed.
 
-    Valid only while membership is unchanged since the speed was last
-    refreshed; the engine guarantees that by advancing on every membership
-    event.  The same pass returns what the next completion time needs: the
-    index of the first in-service task with the least remaining work (-1
-    when idle), that least remaining work, and the second least (``inf``
-    where absent).
+    Valid only while membership is unchanged since the speed was refreshed,
+    which the engine ensures.  The same pass returns what the next completion
+    time needs: the first in-service task with the least remaining work (None
+    when idle), that least remaining work, and the second least (or ``inf``).
     """
     dt = to_time - server.last_update_time
     if dt < 0:
         raise SimulationError(f"server {server.id}: time moved backwards by {-dt}")
     server.last_update_time = to_time
     dec = server.speed * dt
-    first = -1
+    first = None
     least = second = math.inf
-    for k, task in enumerate(server.in_service):
+    for task in server.in_service:
         r = task.remaining_work - dec
         task.remaining_work = r = r if r > 0.0 else 0.0
         if r < second:
             if r < least:
-                first, least, second = k, r, least
+                first, least, second = task, r, least
             else:
                 second = r
     return first, least, second
@@ -377,8 +375,8 @@ def run_episode(
         elif now == soonest:
             sid = done_at.index(now)
             server = servers[sid]
-            first, _, least = advance_server(server, now)
-            task = server.in_service.pop(first)
+            task, _, least = advance_server(server, now)
+            server.in_service.remove(task)
             task.remaining_work = 0.0
             task.completion_time = now
             if server.backlog:

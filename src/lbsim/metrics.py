@@ -111,10 +111,11 @@ def jain(x: Sequence[float]) -> float:
     An all-zero vector returns 1 by convention (perfectly even).
     """
     arr = _as_checked(x)
-    if arr.max() == 0.0:
+    total = arr.sum()
+    if total == 0.0:  # the entries are nonnegative, so all are zero
         return 1.0
     # sum / size is mean's own ufunc sequence, bit for bit, without its overhead
-    m = arr.sum() / arr.size
+    m = total / arr.size
     return float(m * m / ((arr * arr).sum() / arr.size))
 
 

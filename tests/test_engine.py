@@ -89,12 +89,12 @@ class TestAdvanceServer:
         # the first of tied least tasks is the one to complete; the second
         # least is what remains once it has left
         server = self._server_with([0.5, 0.2, 0.9, 0.2])
-        assert advance_server(server, 0.1) == (1, 0.2 - 0.1, 0.2 - 0.1)
+        assert advance_server(server, 0.1) == (server.in_service[1], 0.2 - 0.1, 0.2 - 0.1)
         assert [t.remaining_work for t in server.in_service] == \
             [0.5 - 0.1, 0.2 - 0.1, 0.9 - 0.1, 0.2 - 0.1]
         server = self._server_with([0.5, 0.3])
-        assert advance_server(server, 0.4) == (1, 0.0, 0.5 - 0.4)
-        assert advance_server(ServerState(1, 4, 8), 1.0) == (-1, math.inf, math.inf)
+        assert advance_server(server, 0.4) == (server.in_service[1], 0.0, 0.5 - 0.4)
+        assert advance_server(ServerState(1, 4, 8), 1.0) == (None, math.inf, math.inf)
 
     def test_idle_server_never_completes(self):
         server = ServerState(0, 4, 8)
