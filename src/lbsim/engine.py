@@ -338,7 +338,7 @@ def run_episode(
     # one array draw per episode: the same stream as one scalar draw per arrival
     routes = iter(routing_rng.integers(lbs, size=len(arrivals)).tolist() if lbs > 1
                   else repeat(0))
-    # bound once per episode, so a select patched onto the class before it is used
+    # bound once per episode: a select patched onto the class beforehand still runs
     selects = [policy.select for policy in policies]
 
     done_at = [math.inf] * n

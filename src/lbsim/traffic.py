@@ -85,8 +85,8 @@ def generate(spec: TrafficSpec, topology: Topology, duration: float,
 
     count = len(times)
     if spec.distribution == IDENTICAL:
-        workloads = np.full(count, spec.mean)
+        workloads = [float(spec.mean)] * count  # one shared float, not one per task
     else:
-        workloads = w_rng.exponential(spec.mean, count)
+        workloads = w_rng.exponential(spec.mean, count).tolist()
 
-    return [Task(i, float(workloads[i]), times[i]) for i in range(count)]
+    return [Task(i, workloads[i], times[i]) for i in range(count)]
