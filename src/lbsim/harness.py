@@ -500,7 +500,9 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
             workers = int(env) if env.strip().isdecimal() else 0
             if workers < 1:
                 raise ConfigurationError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-    workers = max(1, min(workers, len(policies) * len(rates) * len(seeds)))
+    elif workers < 1:
+        raise ConfigurationError(f"workers must be a positive integer, got {workers!r}")
+    workers = min(workers, len(policies) * len(rates) * len(seeds))
 
     # heaviest cells first: a cell's tasks scale with its rate, and the stable
     # sort keeps each cell's seeds in order

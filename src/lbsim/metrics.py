@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 DISCOUNT_BASE = 0.9
+TINY = np.finfo(float).tiny  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,12 @@ def jain(x: Sequence[float]) -> float:
     if total == 0.0:  # the entries are nonnegative, so all are zero
         return 1.0
     # sum / size is mean's own ufunc sequence, bit for bit, without its overhead
+    sq = (arr * arr).sum() / arr.size
+    if sq < TINY:  # the squares underflow; the index is scale-free
+        arr = arr / arr.max()
+        total, sq = arr.sum(), (arr * arr).sum() / arr.size
     m = total / arr.size
-    return float(m * m / ((arr * arr).sum() / arr.size))
+    return float(m * m / sq)
 
 
 def g_fairness(x: Sequence[float]) -> float:

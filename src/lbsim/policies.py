@@ -9,6 +9,7 @@ the local ongoing counts update on every dispatch/completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -33,23 +34,15 @@ class PolicyContext:
 
 
 def _argmin(scores, tie_break: str, rng) -> int:
-    """Index of the least score; one pass counts its ties, and only a random
-    tie-break with a tie to break builds the tie list and draws from ``rng``."""
-    best = 0
-    best_v = scores[0]
-    ties = 1
-    for j in range(1, len(scores)):
-        v = scores[j]
-        if v < best_v:
-            best_v = v
-            best = j
-            ties = 1
-        elif v == best_v:
-            ties += 1
-    if ties > 1 and tie_break == "random":
-        tied = [j for j, v in enumerate(scores) if v == best_v]
-        return tied[int(rng.integers(ties))]
-    return best
+    """Index of the least score; a random tie-break draws among the tied ones."""
+    best = min(scores)
+    j = scores.index(best)
+    if tie_break == "random":
+        ties = scores.count(best)
+        if ties > 1:
+            for _ in range(rng.integers(ties)):
+                j = scores.index(best, j + 1)
+    return j
 
 
 def ecmp(ctx: PolicyContext) -> int:
@@ -103,6 +96,41 @@ def rlb_assign(ctx: PolicyContext, tie_break: str = "lowest") -> int:
     return _argmin(scores, tie_break, ctx.rng)
 
 
+class Draws:
+    """``integers(k)`` and ``random()`` of a PCG64 ``Generator``, value for value,
+    replayed in Python on raw words fetched in blocks: no numpy call per draw.
+    PCG64 gives 32-bit outputs as the low, then the high half of a word, and
+    numpy bounds them by Lemire's multiply-and-reject (arXiv:1805.10941).
+    The wrapped generator runs ahead of the draws served."""
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"Draws replays PCG64 only, got {type(bitgen).__name__}")
+        self._word = chain.from_iterable(
+            iter(lambda: bitgen.random_raw(512).tolist(), None)).__next__
+        # a word is fetched when its low half is asked for, so random() can
+        # take whole words while a high half waits, as in PCG64's own state
+        state = bitgen.state
+        self._uint32 = chain([state["uinteger"]] if state["has_uint32"] else [],
+                             (h for w in iter(self._word, None)
+                              for h in (w & 0xFFFFFFFF, w >> 32))).__next__
+
+    def integers(self, k: int) -> int:
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"Draws.integers needs 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            while m & 0xFFFFFFFF < (1 << 32) % k:
+                m = self._uint32() * k
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+
 class Policy:
     """A dispatch policy bound to one load balancer.
 
@@ -123,10 +151,10 @@ class Policy:
 
     def __init__(self, tie_break: str = "random"):
         self.tie_break = tie_break
-        self.rng: Optional[np.random.Generator] = None
+        self.rng: Optional[Draws] = None
 
     def bind(self, rng: np.random.Generator) -> "Policy":
-        self.rng = rng
+        self.rng = Draws(rng)
         return self
 
     def initial_weights(self, topology) -> list:

@@ -298,6 +298,13 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(TINY, rates=[], policies=["sed"], seeds=[0])
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, tmp_path, workers):
+        config = replace(TINY, out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_sweep(config, rates=[0.8], policies=["sed"], seeds=[0], workers=workers)
+        assert not os.path.exists(config.out_dir)
+
     def test_heaviest_cells_run_first(self, tmp_path, monkeypatch):
         import lbsim.harness as hmod
 

@@ -156,9 +156,17 @@ class TestFairnessIndices:
         x = np.asarray(values)
         if x.max() == 0.0:
             assert jain(values) == 1.0
-        else:
-            want = np.mean(x) ** 2 / np.mean(x * x)  # nan when x * x underflows
-            assert np.float64(jain(values)).tobytes() == want.tobytes()
+            return
+        if np.mean(x * x) < np.finfo(float).tiny:
+            x = x / x.max()  # the squares underflow: the index is taken on x / max
+        want = np.mean(x) ** 2 / np.mean(x * x)
+        assert np.float64(jain(values)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values, want", [
+        ([6.5e-283], 1.0), ([1e-200, 0.0], 0.5), ([5e-324, 5e-324], 1.0),
+        ([1e-160, 3e-160], 0.8), ([2e-300, 2e-300, 0.0, 0.0], 0.5)])
+    def test_jain_when_squares_underflow(self, values, want):
+        assert jain(values) == pytest.approx(want, rel=1e-15)
 
     def test_jain_at_least_one_over_n(self):
         rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbsim.policies import PolicyContext, _argmin, ecmp, lsq, rlb_assign, sed, wcmp
+from lbsim.policies import Draws, PolicyContext, _argmin, ecmp, lsq, rlb_assign, sed, wcmp
 
 
 def ctx(ongoing, weights=None, seed=0):
@@ -169,3 +169,75 @@ class TestArgminStream:
         for scores in score_lists:
             assert _argmin(scores, tie_break, ours) == _argmin_two_pass(scores, tie_break, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
+
+
+# None stands for random(); an int k for integers(k).  Bounds near 2**32
+# reject up to half of their first draws, so the rejection loop runs often.
+DRAW_OPS = st.lists(st.one_of(st.none(), st.integers(1, 2**32),
+                              st.sampled_from([1, 2, 3, 8, 2**31 + 1, 3 * 2**30, 2**32 - 1,
+                                               2**32])), max_size=300)
+
+
+def _draw(rng, op):
+    return rng.random() if op is None else int(rng.integers(op))
+
+
+class TestDraws:
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.booleans(),
+           st.integers(0, 1500), DRAW_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_values_as_generator(self, seed, advance, pending_half, skip, ops):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, ref):
+            rng.bit_generator.advance(advance)
+            if pending_half:  # takes a low half; the high half waits in the state
+                rng.integers(10)
+        assert ours.bit_generator.state["has_uint32"] == int(pending_half)
+        draws = Draws(ours)
+        # up to about 1,100 words ahead of the ops: they start anywhere in a
+        # block of raw words, and some run across a refill
+        for i in range(skip):
+            op = None if i % 3 == 0 else 7
+            assert _draw(draws, op) == _draw(ref, op)
+        for op in ops:
+            assert _draw(draws, op) == _draw(ref, op)
+
+    def test_long_stream_across_refills(self):
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        draws = Draws(ours)
+        for i in range(20_000):
+            op = (None, 2, 5, 2**31 + 1, 2**32)[i % 5]
+            assert _draw(draws, op) == _draw(ref, op)
+
+    def test_one_draws_nothing(self):
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        draws = Draws(ours)
+        assert draws.integers(1) == 0 and ref.integers(1) == 0
+        assert draws.integers(2**32) == ref.integers(2**32)
+
+    @pytest.mark.parametrize("k", [0, -3, 2**32 + 1, 2**40])
+    def test_bound_out_of_range_raises(self, k):
+        with pytest.raises(ValueError):
+            Draws(np.random.default_rng(0)).integers(k)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_raise(self, bitgen):
+        with pytest.raises(TypeError):
+            Draws(np.random.Generator(bitgen(0)))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "lowest"]),
+           st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1.0, 2.0, 4.0])),
+                             min_size=1, max_size=8), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_policies_pick_as_with_a_plain_generator(self, seed, tie_break, servers):
+        # few distinct counts and weights, so lsq, sed and rlb_assign tie often
+        for fn in (ecmp, wcmp, lsq, sed, rlb_assign):
+            picks = []
+            for rng in (Draws(np.random.default_rng(seed)), np.random.default_rng(seed)):
+                seq = []
+                for pairs in servers:
+                    c = PolicyContext(ongoing=[a for a, _ in pairs],
+                                      weights=[w for _, w in pairs], rng=rng)
+                    seq.append(fn(c) if fn in (ecmp, wcmp) else fn(c, tie_break))
+                picks.append(seq)
+            assert picks[0] == picks[1], fn.__name__
