@@ -122,7 +122,7 @@ class Draws:
         if k == 1:
             return 0
         m = self._uint32() * k
-        if m & 0xFFFFFFFF < k:
+        if m & 0xFFFFFFFF < k:  # numpy's shortcut: the threshold 2**32 % k is below k
             while m & 0xFFFFFFFF < (1 << 32) % k:
                 m = self._uint32() * k
         return m >> 32

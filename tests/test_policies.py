@@ -194,7 +194,7 @@ class TestDraws:
                 rng.integers(10)
         assert ours.bit_generator.state["has_uint32"] == int(pending_half)
         draws = Draws(ours)
-        # up to about 1,100 words ahead of the ops: they start anywhere in a
+        # up to about 1,000 words ahead of the ops: they start anywhere in a
         # block of raw words, and some run across a refill
         for i in range(skip):
             op = None if i % 3 == 0 else 7
