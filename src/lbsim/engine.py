@@ -107,10 +107,9 @@ def server_speed(count: int, p: int, p_hat: int) -> float:
     """Per-task speed of a server with ``count`` ongoing tasks.
 
     1 when count <= p, else p / min(p_hat, count).  In-service tasks all
-    share this speed; backlogged tasks progress at speed zero.
+    share this speed; backlogged tasks progress at speed zero.  ``ServerState``
+    and ``Topology`` check p >= 1 and p_hat >= p once, so this does not.
     """
-    if count < 0 or p < 1 or p_hat < p:
-        raise ConfigurationError(f"invalid speed parameters (count={count}, p={p}, p_hat={p_hat})")
     if count <= p:
         return 1.0
     return p / (p_hat if count > p_hat else count)

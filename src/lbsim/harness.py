@@ -63,6 +63,16 @@ class ExperimentConfig:
     out_dir: str = "out"
     sac: SacConfig = field(default_factory=SacConfig)
 
+    def __post_init__(self):
+        # INI configs, manifests and programmatic configs all pass through here
+        if not self.seeds:
+            raise ConfigurationError("[run] seeds: need at least one seed")
+        batch, capacity = self.sac.batch_size, self.sac.buffer_capacity
+        if not 1 <= batch <= capacity:
+            raise ConfigurationError(
+                f"[sac] need 1 <= batch_size <= buffer_capacity, got {batch} and {capacity}:"
+                " a smaller buffer never fills a batch, so the agent would never update")
+
     def topology(self, seed: int) -> Topology:
         return Topology(self.lbs, self.servers)
 
@@ -230,7 +240,7 @@ FIELDS = (
     Field("run", "tie_break", "tie_break", _STR, _choice("random", "lowest")),
     Field("run", "out", "out_dir", _STR),
     Field("sac", "learning_rate", "learning_rate", _FLOAT),
-    Field("sac", "batch_size", "batch_size", _INT, _positive),
+    Field("sac", "batch_size", "batch_size", _INT),
     Field("sac", "buffer_capacity", "buffer_capacity", _INT),
     Field("sac", "gamma", "gamma", _FLOAT),
     Field("sac", "tau", "tau", _FLOAT),

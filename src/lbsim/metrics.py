@@ -8,13 +8,15 @@ seconds.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 DISCOUNT_BASE = 0.9
-TINY = np.finfo(float).tiny  # the least normal float
+TINY = sys.float_info.min  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -97,49 +99,91 @@ def reduce(samples: Iterable[TimedSample | tuple[float, float]], now: float) -> 
     return reduce_arrays(np.asarray(values, dtype=float), np.asarray(times, dtype=float), now)
 
 
-def _as_checked(x: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
+def _as_checked(x: Iterable[float]) -> list:
+    xs = [float(v) for v in x]
+    if not xs:
         raise ValueError("fairness index of an empty vector is undefined")
-    if arr.min() < 0:
-        raise ValueError("fairness indices require nonnegative inputs")
-    return arr
+    for v in xs:
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"fairness indices require finite nonnegative inputs, got {v}")
+    return xs
+
+
+def _add_reduce(xs: list) -> float:
+    """``np.add.reduce`` of a contiguous float64 vector, bit for bit, in Python floats.
+
+    Below 8 terms numpy adds them in order to add's identity 0.0.  From 8 up,
+    the identity plus numpy's pairwise sum: 8 interleaved accumulators up to
+    128 terms, then halves split at a multiple of 8.  Builtin ``sum`` is no
+    substitute: from Python 3.12 on it compensates rounding errors.
+    """
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for v in xs:
+            total += v
+        return total
+    return 0.0 + _pairwise(xs, 0, n)
+
+
+def _pairwise(xs: list, lo: int, hi: int) -> float:
+    n = hi - lo
+    if n > 128:
+        half = lo + n // 2 - n // 2 % 8
+        return _pairwise(xs, lo, half) + _pairwise(xs, half, hi)
+    r = xs[lo:lo + 8]
+    stop = hi - n % 8
+    for i in range(lo + 8, stop, 8):  # eight accumulators, one per lane
+        r = [a + b for a, b in zip(r, xs[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in xs[stop:hi]:
+        total += v
+    return total
 
 
 def jain(x: Sequence[float]) -> float:
     """Jain's fairness index: mean(x)^2 / mean(x^2), in (0, 1].
 
-    An all-zero vector returns 1 by convention (perfectly even).
+    An all-zero vector returns 1 by convention (perfectly even).  The value
+    is numpy's ``m * m / mean(x * x)`` with ``m = mean(x)``, bit for bit.
     """
-    arr = _as_checked(x)
-    total = arr.sum()
+    xs = _as_checked(x)
+    n = len(xs)
+    total = _add_reduce(xs)
     if total == 0.0:  # the entries are nonnegative, so all are zero
         return 1.0
-    # sum / size is mean's own ufunc sequence, bit for bit, without its overhead
-    sq = (arr * arr).sum() / arr.size
+    sq = _add_reduce([v * v for v in xs]) / n
     if sq < TINY:  # the squares underflow; the index is scale-free
-        arr = arr / arr.max()
-        total, sq = arr.sum(), (arr * arr).sum() / arr.size
-    m = total / arr.size
-    return float(m * m / sq)
+        top = max(xs)
+        xs = [v / top for v in xs]
+        total, sq = _add_reduce(xs), _add_reduce([v * v for v in xs]) / n
+    m = total / n
+    return m * m / sq
 
 
 def g_fairness(x: Sequence[float]) -> float:
     """Product of sin(pi * x_j / (2 max x)); all-zero input returns 1."""
-    arr = _as_checked(x)
-    top = arr.max()
+    xs = _as_checked(x)
+    top = max(xs)
     if top == 0.0:
         return 1.0
-    return float(np.prod(np.sin(np.pi * arr / (2.0 * top))))
+    # numpy's sin, not math.sin: the two can differ in the last bit
+    return float(np.prod(np.sin(np.pi * np.asarray(xs) / (2.0 * top))))
 
 
 def bossaer(x: Sequence[float]) -> float:
-    """Product of x_j / max(x); all-zero input returns 1."""
-    arr = _as_checked(x)
-    top = arr.max()
+    """Product of x_j / max(x); all-zero input returns 1.
+
+    The product runs in order from 1.0, as numpy's ``multiply.reduce`` does.
+    """
+    xs = _as_checked(x)
+    top = max(xs)
     if top == 0.0:
         return 1.0
-    return float(np.prod(arr / top))
+    prod = 1.0
+    for v in xs:
+        prod *= v / top
+    return prod
 
 
 FAIRNESS_INDICES = {"jain": jain, "g": g_fairness, "bossaer": bossaer}

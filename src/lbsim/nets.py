@@ -17,8 +17,6 @@ from typing import Sequence
 import numpy as np
 
 LN_EPS = 1e-5
-LOG_STD_MIN = -20.0
-LOG_STD_MAX = 2.0
 SQUASH_EPS = 1e-6
 # largest double strictly below 1: float tanh rounds to exactly +-1 for
 # |u| > ~19, but squashed samples must stay strictly inside the unit box
@@ -295,38 +293,34 @@ class InputNormalizer:
 def gaussian_head_sample(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarray):
     """Tanh-squashed Gaussian sample and its exact log-probability.
 
-    a = tanh(mean + exp(log_std) * noise) with log_std clamped to [-20, 2];
-    the log-probability includes the tanh change-of-variables correction
-    -log(1 - a^2 + 1e-6) per coordinate, summed over the last axis.
+    a = tanh(mean + exp(log_std) * noise); the log-probability includes the
+    tanh change-of-variables correction -log(1 - a^2 + 1e-6) per coordinate,
+    summed over the last axis.  The actor bounds log_std itself.
     """
-    ls = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-    std = np.exp(ls)
+    std = np.exp(log_std)
     u = mean + std * noise
     a = np.clip(np.tanh(u), -_TANH_LIMIT, _TANH_LIMIT)
-    logp_terms = -0.5 * noise * noise - ls - 0.5 * math.log(2.0 * math.pi) \
+    logp_terms = -0.5 * noise * noise - log_std - 0.5 * math.log(2.0 * math.pi) \
         - np.log(1.0 - a * a + SQUASH_EPS)
     return a, logp_terms.sum(axis=-1)
 
 
-def gaussian_head_grads(mean: np.ndarray, log_std_raw: np.ndarray, noise: np.ndarray):
+def gaussian_head_grads(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarray):
     """Partial derivatives used by the reparameterized actor update.
 
-    Returns (a, logp, da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd); the
-    log_std derivatives are masked to zero where the clamp is active.
+    Returns (a, logp, da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd).
     """
-    ls = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-    clamp_mask = (log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX)
-    std = np.exp(ls)
+    std = np.exp(log_std)
     u = mean + std * noise
     a = np.clip(np.tanh(u), -_TANH_LIMIT, _TANH_LIMIT)
     one_m_a2 = 1.0 - a * a
-    logp_terms = -0.5 * noise * noise - ls - 0.5 * math.log(2.0 * math.pi) \
+    logp_terms = -0.5 * noise * noise - log_std - 0.5 * math.log(2.0 * math.pi) \
         - np.log(one_m_a2 + SQUASH_EPS)
     dlogp_da = 2.0 * a / (one_m_a2 + SQUASH_EPS)
     da_dmean = one_m_a2
-    da_dlogstd = one_m_a2 * std * noise * clamp_mask
+    da_dlogstd = one_m_a2 * std * noise
     dlogp_dmean = dlogp_da * da_dmean
-    dlogp_dlogstd = (-1.0 + dlogp_da * one_m_a2 * std * noise) * clamp_mask
+    dlogp_dlogstd = -1.0 + dlogp_da * one_m_a2 * std * noise
     return a, logp_terms.sum(axis=-1), da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd
 
 

@@ -208,11 +208,10 @@ class TestCriticUpdate:
         # the batch states count as already normalized
         s2 = batch.next_state
         mean, log_std = agent.model.actor.forward(s2)
-        ls = np.clip(log_std, nets.LOG_STD_MIN, nets.LOG_STD_MAX)
-        std = np.exp(ls)
+        std = np.exp(log_std)
         u = mean + std * noise
         a2 = np.tanh(u)
-        logp = float((-0.5 * noise ** 2 - ls - 0.5 * math.log(2 * math.pi)
+        logp = float((-0.5 * noise ** 2 - log_std - 0.5 * math.log(2 * math.pi)
                       - np.log(1 - a2 ** 2 + 1e-6)).sum())
         q = float(agent.model.guiding_critic.forward(s2, a2)[0])
         expected = batch.reward[0] + 0.9 * (q - agent.alpha * logp)

@@ -45,12 +45,11 @@ class TestServerSpeed:
         assert server_speed(4, 4, 8) == 1.0
 
     def test_invalid_parameters(self):
+        # the speed parameters are checked once, when the server is built
         with pytest.raises(ConfigurationError):
-            server_speed(-1, 4, 8)
+            ServerState(0, 4, 2)
         with pytest.raises(ConfigurationError):
-            server_speed(3, 4, 2)
-        with pytest.raises(ConfigurationError):
-            server_speed(3, 0, 0)
+            ServerState(0, 0, 0)
 
 
 class TestAdvanceServer:

@@ -74,6 +74,27 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="topology missing"):
             validate_config("")
 
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="seeds"):
+            validate_config("[topology]\npreset = 1lb-2s\n[run]\nseeds =\n")
+        with pytest.raises(ConfigurationError, match="seeds"):
+            replace(TINY, seeds=())
+
+    @pytest.mark.parametrize("batch, capacity", [(64, 0), (64, 32), (64, 63), (0, 0), (-1, 3000)])
+    def test_buffer_smaller_than_batch_rejected(self, batch, capacity):
+        # with fewer slots than batch_size the agent would never update
+        with pytest.raises(ConfigurationError, match="batch_size <= buffer_capacity"):
+            validate_config("[topology]\npreset = 1lb-2s\n"
+                            f"[sac]\nbatch_size = {batch}\nbuffer_capacity = {capacity}\n")
+        with pytest.raises(ConfigurationError, match="batch_size <= buffer_capacity"):
+            replace(TINY, policy="rlb-sac",
+                    sac=SacConfig(batch_size=batch, buffer_capacity=capacity))
+
+    def test_buffer_equal_to_batch_accepted(self):
+        config, _ = validate_config(
+            "[topology]\npreset = 1lb-2s\n[sac]\nbatch_size = 8\nbuffer_capacity = 8\n")
+        assert (config.sac.batch_size, config.sac.buffer_capacity) == (8, 8)
+
     def test_preset_expansion(self):
         config, warnings = validate_config("[topology]\npreset = 1lb-2s\n")
         assert config.lbs == 1
@@ -381,6 +402,15 @@ class TestCli:
                          "--policies", "sed", "--seeds", "0", "--out", out]) == 1
         assert cli.main(["sweep", "--config", path, "--rates", "0.8",
                          "--policies", "sed", "--seeds", "0,y", "--out", out]) == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("extra", [
+        "seeds =\n", "[sac]\nbuffer_capacity = 0\n",
+        "[sac]\nbatch_size = 64\nbuffer_capacity = 32\n"])
+    def test_unrunnable_config_is_config_error(self, tmp_path, capsys, extra):
+        path = self._write_config(tmp_path, extra)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", path, "--policy", "rlb-sac", "--out", out]) == 1
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])

@@ -180,6 +180,105 @@ class TestFairnessIndices:
             assert jain(x) >= 1.0 / n - 1e-12
 
 
+# Signed zeros, subnormals, the least normal float and extreme magnitudes,
+# placed into the drawn vectors.
+_EDGE_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.0]
+# numpy's pairwise sum changes shape at 8 and past 128 terms, and past 256 it splits twice
+_LENGTHS = st.one_of(st.sampled_from([7, 8, 9, 127, 128, 129, 256, 257]), st.integers(0, 400))
+
+
+@st.composite
+def _vectors(draw, nonnegative=False, min_size=0):
+    """Vectors at one drawn scale from 1e-300 to 1e300, with drawn edge terms.
+
+    The terms come from one byte string, not one strategy each: 53-bit
+    fractions, optionally shrunk by up to 2 ** -spread term by term, so the
+    vector mixes terms of like and of unlike magnitude.
+    """
+    n = draw(_LENGTHS.filter(lambda k: k >= min_size))
+    words = np.frombuffer(draw(st.binary(min_size=8 * n, max_size=8 * n)), dtype="<u8")
+    spread = draw(st.integers(0, 63))
+    shifts = ((words & 63) % (spread + 1)).astype(float)
+    terms = (words >> 11) * 2.0 ** -53 * 2.0 ** -shifts
+    terms *= 10.0 ** draw(st.integers(-300, 299))
+    if not nonnegative:
+        terms[(words >> 6) & 1 == 1] *= -1.0
+    values = terms.tolist()
+    edges = [v for v in _EDGE_TERMS if v >= 0.0] if nonnegative else _EDGE_TERMS
+    for _ in range(draw(st.integers(0, 4)) if n else 0):
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(edges))
+    return values
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _jain_numpy(values):
+    """jain as it was computed on numpy arrays, the reference for the replay."""
+    arr = np.asarray(values, dtype=float)
+    total = arr.sum()
+    if total == 0.0:
+        return 1.0
+    sq = (arr * arr).sum() / arr.size
+    if sq < np.finfo(float).tiny:
+        arr = arr / arr.max()
+        total, sq = arr.sum(), (arr * arr).sum() / arr.size
+    m = total / arr.size
+    return float(m * m / sq)
+
+
+def _bossaer_numpy(values):
+    """bossaer as it was computed on numpy arrays."""
+    arr = np.asarray(values, dtype=float)
+    top = arr.max()
+    if top == 0.0:
+        return 1.0
+    return float(np.prod(arr / top))
+
+
+class TestNumpyReplay:
+    @given(_vectors())
+    @example([])
+    @example([-0.0])
+    @example([-0.0] * 9)
+    @example([1e16, 1.0, -1e16])  # builtin sum gives 1.0 here from Python 3.12 on
+    @settings(max_examples=400, deadline=None)
+    def test_add_reduce_equals_numpy(self, values):
+        with np.errstate(all="ignore"):
+            want = np.add.reduce(np.asarray(values, dtype=float))
+        assert _bits(metrics._add_reduce(values)) == _bits(want)
+
+    @given(_vectors(nonnegative=True, min_size=1))
+    @example([942263.5703125])
+    @example([0.0, -0.0])
+    @example([1e-160, 3e-160])
+    @settings(max_examples=400, deadline=None)
+    def test_indices_equal_numpy_forms(self, values):
+        with np.errstate(all="ignore"):
+            want_jain, want_bossaer = _jain_numpy(values), _bossaer_numpy(values)
+        assert _bits(jain(values)) == _bits(want_jain)
+        assert _bits(bossaer(values)) == _bits(want_bossaer)
+        assert _bits(reward(values, "jain")) == _bits(want_jain - 1.0)
+        assert _bits(reward(values, "bossaer", literal=True)) == _bits(1.0 - want_bossaer)
+
+    def test_indices_take_arrays_and_ints(self):
+        values = [3, 1, 4, 1, 5, 9, 2, 6, 5]
+        for fn in (jain, g_fairness, bossaer):
+            assert _bits(fn(np.asarray(values, dtype=float))) == _bits(fn(values))
+        assert _bits(jain(values)) == _bits(_jain_numpy(values))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for values in ([bad], [1.0, bad], [bad, 0.0, 2.0], np.array([0.5, bad])):
+            for fn in (jain, g_fairness, bossaer):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(values)
+            for index in metrics.FAIRNESS_INDICES:
+                with pytest.raises(ValueError, match="finite"):
+                    reward(values, index)
+
+
 class TestReward:
     def test_examples(self):
         assert reward([0.2, 0.2], "jain") == 0.0
