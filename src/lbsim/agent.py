@@ -429,13 +429,10 @@ class SacAgent:
         loss = float(np.mean(err * err))
         return loss, self.model.critic.backward(2.0 * err / len(batch))
 
-    def critic_update(self, batch: Batch, noise: Optional[np.ndarray] = None,
-                      apply: bool = True) -> float:
+    def critic_update(self, batch: Batch) -> float:
         """One squared-error step of the critic toward the frozen targets."""
-        y = self.critic_targets(batch, noise)
-        loss, grad = self.critic_loss_grads(batch, y)
-        if apply:
-            self.critic_opt.step(grad)
+        loss, grad = self.critic_loss_grads(batch, self.critic_targets(batch))
+        self.critic_opt.step(grad)
         return loss
 
     def actor_loss_grads(self, batch: Batch, noise: np.ndarray):
@@ -456,26 +453,19 @@ class SacAgent:
         d_ls = (alpha / B) * dlp_dls + d_action * da_dls
         return loss, self.model.actor.backward(d_mean, d_ls)
 
-    def actor_update(self, batch: Batch, noise: Optional[np.ndarray] = None,
-                     apply: bool = True) -> float:
+    def actor_update(self, batch: Batch) -> float:
         """Reparameterized policy step minimizing alpha*logpi - Q."""
-        if noise is None:
-            noise = self.noise_rng.standard_normal((len(batch), self.n))
+        noise = self.noise_rng.standard_normal((len(batch), self.n))
         loss, grad = self.actor_loss_grads(batch, noise)
-        if apply:
-            self.actor_opt.step(grad)
+        self.actor_opt.step(grad)
         return loss
 
-    def alpha_update(self, batch: Batch, noise: Optional[np.ndarray] = None,
-                     apply: bool = True) -> float:
+    def alpha_update(self, batch: Batch) -> float:
         """Tune the temperature toward the target entropy; returns new alpha."""
-        if noise is None:
-            noise = self.noise_rng.standard_normal((len(batch), self.n))
+        noise = self.noise_rng.standard_normal((len(batch), self.n))
         mean, log_std = self.model.actor.forward(batch.state)
         _, logp = nets.gaussian_head_sample(mean, log_std, noise)
-        grad = -float(np.mean(logp + self.target_entropy))
-        if apply:
-            self.alpha_opt.step(np.array([grad]))
+        self.alpha_opt.step(np.array([-float(np.mean(logp + self.target_entropy))]))
         return self.alpha
 
     def soft_update(self) -> None:

@@ -20,7 +20,6 @@ def _load(path: str):
 
 
 def _apply_run_overrides(args, config):
-    # an unknown --policy is rejected by build_policies before any file is written
     if args.policy is not None:
         config = replace(config, policy=args.policy)
     if args.reward is not None:

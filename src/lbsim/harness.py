@@ -64,7 +64,14 @@ class ExperimentConfig:
     sac: SacConfig = field(default_factory=SacConfig)
 
     def __post_init__(self):
-        # INI configs, manifests and programmatic configs all pass through here
+        # INI configs, manifests, CLI overrides, sweep cells and configs built
+        # in code all pass through here, replace() results included
+        for row in FIELDS:
+            if row.check:
+                owner = self.sac if row.section == "sac" else self
+                problem = row.check(row.key, getattr(owner, row.attr))
+                if problem:
+                    raise ConfigurationError(problem)
         if not self.seeds:
             raise ConfigurationError("[run] seeds: need at least one seed")
         batch, capacity = self.sac.batch_size, self.sac.buffer_capacity
@@ -191,14 +198,31 @@ def _choice(*names):
     return check
 
 
+def _finite(key, value):
+    if not -math.inf < value < math.inf:  # NaN fails every comparison
+        return f"{key} must be finite, got {value}"
+
+
 def _positive(key, value):
     if value <= 0:
         return f"{key} must be positive, got {value}"
+    return _finite(key, value)
 
 
 def _nonnegative(key, value):
     if value < 0:
         return f"{key} must be >= 0, got {value}"
+    return _finite(key, value)
+
+
+def _fraction(key, value):
+    if not 0 <= value <= 1:
+        return f"{key} must be in [0, 1], got {value}"
+
+
+def _positive_fraction(key, value):
+    if not 0 < value <= 1:
+        return f"{key} must be in (0, 1], got {value}"
 
 
 class Field(NamedTuple):
@@ -206,7 +230,7 @@ class Field(NamedTuple):
 
     ``[sac]`` keys set SacConfig, all others ExperimentConfig; a key absent
     from the text keeps the dataclass default.  A check returns an error
-    message or None.
+    message or None; ExperimentConfig runs them all whenever one is built.
     """
 
     section: str
@@ -239,30 +263,23 @@ FIELDS = (
     Field("run", "residual_norm", "residual_norm", _STR, _choice("processors", "unit")),
     Field("run", "tie_break", "tie_break", _STR, _choice("random", "lowest")),
     Field("run", "out", "out_dir", _STR),
-    Field("sac", "learning_rate", "learning_rate", _FLOAT),
+    Field("sac", "learning_rate", "learning_rate", _FLOAT, _positive),
     Field("sac", "batch_size", "batch_size", _INT),
     Field("sac", "buffer_capacity", "buffer_capacity", _INT),
-    Field("sac", "gamma", "gamma", _FLOAT),
-    Field("sac", "tau", "tau", _FLOAT),
-    Field("sac", "hidden", "hidden", _INT),
-    Field("sac", "updates_per_step", "updates_per_step", _INT),
-    Field("sac", "log_alpha_init", "log_alpha_init", _FLOAT),
+    Field("sac", "gamma", "gamma", _FLOAT, _fraction),
+    Field("sac", "tau", "tau", _FLOAT, _positive_fraction),
+    Field("sac", "hidden", "hidden", _INT, _positive),
+    Field("sac", "updates_per_step", "updates_per_step", _INT, _positive),
+    Field("sac", "log_alpha_init", "log_alpha_init", _FLOAT, _finite),
     Field("sac", "strict_observability", "include_duration", _NOT_BOOL),
 )
 
 # The [sweep] lists a sweep manifest adds: (key, kind).
 SWEEP_FIELDS = (("rates", _FLOATS), ("policies", _STRS), ("seeds", _INTS))
 
-# Keys older manifests carry for options that no longer exist.  They load
-# only at the one value the program still implements.
-RETIRED = {
-    ("sac", "log_std_init"): (_FLOAT, 0.0),
-    ("sac", "value_target_uses_guiding_actor"): (_BOOL, False),
-}
-
 # Every (section, key) a config or manifest may carry.
 KNOWN_KEYS = ({(row.section, row.key) for row in FIELDS} | {("topology", "preset")}
-              | set(RETIRED) | {("sweep", key) for key, _ in SWEEP_FIELDS})
+              | {("sweep", key) for key, _ in SWEEP_FIELDS})
 
 
 def validate_config(text: str) -> tuple:
@@ -298,19 +315,10 @@ def validate_config(text: str) -> tuple:
     elif not parser.has_option("topology", "servers"):
         raise ConfigurationError("topology missing: set [topology] preset or servers")
 
-    for (section, key), (kind, value) in RETIRED.items():
-        if _get(parser, section, key, kind[0], value) != value:
-            raise ConfigurationError(f"[{section}] {key} was removed; only "
-                                     f"{key} = {kind[1](value)} is supported")
-
     values = {ExperimentConfig: {}, SacConfig: {}}
     for row in FIELDS:
         if parser.has_option(row.section, row.key):
-            value = _get(parser, row.section, row.key, row.kind[0])
-            problem = row.check(row.key, value) if row.check else None
-            if problem:
-                raise ConfigurationError(problem)
-            values[row.owner][row.attr] = value
+            values[row.owner][row.attr] = _get(parser, row.section, row.key, row.kind[0])
     config = ExperimentConfig(sac=SacConfig(**values[SacConfig]), **values[ExperimentConfig])
     Topology(config.lbs, config.servers)  # rejects an invalid LB count or server list
 
@@ -373,10 +381,8 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
         if config.policy == "rlb-sac":
             agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb)
             policy = SacPolicy(agent, tie_break=config.tie_break)
-        elif config.policy in BASELINE_POLICIES:
-            policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)
         else:
-            raise ConfigurationError(f"unknown policy {config.policy!r}")
+            policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)
         policies.append(policy.bind(rng))
     return policies
 
@@ -479,10 +485,9 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
 
 
 def _sweep_cell(args) -> tuple:
-    config, policy, rate, seed = args
+    config, policy, rate, seed = args  # config is the cell's own
     try:
-        cell_config = replace(config, policy=policy, rate_fraction=rate)
-        result = run_experiment(cell_config, seed=seed, write_files=False)
+        result = run_experiment(config, seed=seed, write_files=False)
         last = result.summaries[-1]
         return (policy, rate, seed, last.fairness_index, last.avg_residual_workload,
                 last.max_residual_workload, "")
@@ -498,9 +503,9 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
     """Run policies x rates x seeds and aggregate last-episode medians."""
     if not rates or not policies or not seeds:
         raise ConfigurationError("sweep needs nonempty rates, policies, and seeds")
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigurationError(f"unknown policy {name!r} in sweep")
+    # building every cell's config checks each policy and rate before any cell runs
+    cell_configs = {(p, r): replace(config, policy=p, rate_fraction=r)
+                    for p in policies for r in rates}
     out = out_dir if out_dir is not None else config.out_dir
 
     if workers is None:
@@ -516,8 +521,8 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
 
     # heaviest cells first: a cell's tasks scale with its rate, and the stable
     # sort keeps each cell's seeds in order
-    jobs = sorted(((config, p, r, s) for p in policies for r in rates for s in seeds),
-                  key=lambda job: -job[2])
+    jobs = sorted(((cell_configs[p, r], p, r, s) for p in policies for r in rates
+                   for s in seeds), key=lambda job: -job[2])
     if workers == 1:
         outcomes = [_sweep_cell(job) for job in jobs]
     else:

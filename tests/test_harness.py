@@ -29,44 +29,28 @@ TINY = ExperimentConfig(
     seeds=(0,),
 )
 
-# The manifest of the default 1lb-2s config as written before the guiding
-# actor and the log-std head bias were removed.
-OLDER_MANIFEST = """\
-[topology]
-lbs = 1
-servers = 4:8,2:4
-
-[traffic]
-rate = 0.90000000000000002
-distribution = identical
-mean = 0.10000000000000001
-
-[run]
-policy = rlb-sac
-episodes = 20
-step_interval = 0.5
-first_episode_duration = 60
-episode_increment = 5
-seeds = 0
-reward = jain
-reward_literal = false
-residual_norm = processors
-tie_break = random
-out = out
-
-[sac]
-learning_rate = 0.001
-batch_size = 64
-buffer_capacity = 3000
-gamma = 0.98999999999999999
-tau = 0.0050000000000000001
-hidden = 64
-updates_per_step = 1
-log_alpha_init = -1.6094379124341003
-log_std_init = 0
-strict_observability = false
-value_target_uses_guiding_actor = false
-"""
+# Out-of-range values for every FIELDS row that has a check.
+NAN, INF = math.nan, math.inf
+BAD_VALUES = {
+    "rate": (0.0, -0.5, NAN, INF),
+    "distribution": ("uniform",),
+    "mean": (0.0, -INF, NAN),
+    "policy": ("lru",),
+    "episodes": (0, -1),
+    "step_interval": (0.0, NAN, INF),
+    "first_episode_duration": (-1.0, NAN, INF),
+    "episode_increment": (-0.5, NAN, INF),
+    "reward": ("fair",),
+    "residual_norm": ("none",),
+    "tie_break": ("lowst",),
+    "learning_rate": (0.0, -1.0, NAN, INF),
+    "gamma": (-0.1, 1.5, NAN),
+    "tau": (0.0, 1.5, NAN),
+    "hidden": (0, -4),
+    "updates_per_step": (0, -1),
+    "log_alpha_init": (NAN, INF, -INF),
+}
+CHECKED_ROWS = [row for row in harness.FIELDS if row.check]
 
 
 class TestValidateConfig:
@@ -157,24 +141,50 @@ class TestValidateConfig:
         clone, _ = validate_config(config_to_manifest(config))
         assert clone == config
 
-    def test_older_manifest_loads_to_default(self):
-        config, warnings = validate_config(OLDER_MANIFEST)
-        assert config == validate_config("[topology]\npreset = 1lb-2s\n")[0]
-        assert warnings == []
-        # a removed option set away from the one value still implemented
-        # cannot be reproduced, so it is refused rather than ignored
-        for old, new in (("log_std_init = 0", "log_std_init = -1"),
-                         ("guiding_actor = false", "guiding_actor = true")):
-            with pytest.raises(ConfigurationError, match="was removed"):
-                validate_config(OLDER_MANIFEST.replace(old, new))
-
-
     def test_unknown_key_rejected(self):
         # a misspelt key used to load the default and validate as "config ok"
         with pytest.raises(ConfigurationError, match="learnig_rate"):
             validate_config("[topology]\npreset = 1lb-2s\n[sac]\nlearnig_rate = 0.5\n")
         with pytest.raises(ConfigurationError, match=r"\[trafic\]"):
             validate_config("[topology]\npreset = 1lb-2s\n[trafic]\nrate = 0.5\n")
+        # keys of options removed before manifests were versioned load no more
+        for key in ("log_std_init = 0", "value_target_uses_guiding_actor = false"):
+            with pytest.raises(ConfigurationError, match="unknown key"):
+                validate_config(f"[topology]\npreset = 1lb-2s\n[sac]\n{key}\n")
+
+    def test_bad_values_cover_every_checked_row(self):
+        assert set(BAD_VALUES) == {row.key for row in CHECKED_ROWS}
+
+    @pytest.mark.parametrize("row, value", [
+        pytest.param(row, value, id=f"{row.key}={value}")
+        for row in CHECKED_ROWS for value in BAD_VALUES.get(row.key, ())])
+    def test_bad_value_rejected_on_every_path(self, row, value):
+        # INI text, a config built in code and a replace() result share one check
+        text = f"[topology]\npreset = 1lb-2s\n[{row.section}]\n{row.key} = {row.kind[1](value)}\n"
+        if row.section == "sac":
+            sac = {row.attr: value}
+            paths = (lambda: validate_config(text),
+                     lambda: ExperimentConfig(sac=SacConfig(**sac)),
+                     lambda: replace(TINY, sac=replace(TINY.sac, **sac)))
+        else:
+            paths = (lambda: validate_config(text),
+                     lambda: ExperimentConfig(**{row.attr: value}),
+                     lambda: replace(TINY, **{row.attr: value}))
+        messages = []
+        for path in paths:
+            with pytest.raises(ConfigurationError) as info:
+                path()
+            messages.append(str(info.value))
+        assert f"{row.key} " in messages[0]
+        assert messages == [messages[0]] * 3
+
+    def test_first_bad_row_reported(self):
+        text = ("[topology]\npreset = 1lb-2s\n[traffic]\nrate = 0\n"
+                "[run]\ntie_break = lowst\nseeds =\n[sac]\ntau = 0\n")
+        with pytest.raises(ConfigurationError, match="rate must be positive"):
+            validate_config(text)
+        with pytest.raises(ConfigurationError, match="unknown tie_break"):
+            validate_config(text.replace("rate = 0", "rate = 0.5"))
 
     def test_shipped_configs_validate(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -326,6 +336,21 @@ class TestSweep:
             run_sweep(config, rates=[0.8], policies=["sed"], seeds=[0], workers=workers)
         assert not os.path.exists(config.out_dir)
 
+    @pytest.mark.parametrize("rates, policies, match", [
+        ([0.8, -0.5], ["sed"], "rate must be positive"),
+        ([0.8], ["sed", "lru"], "unknown policy 'lru'")])
+    def test_bad_cell_rejected_before_any_cell_runs(self, tmp_path, monkeypatch,
+                                                   rates, policies, match):
+        import lbsim.harness as hmod
+
+        ran = []
+        monkeypatch.setattr(hmod, "_sweep_cell", ran.append)
+        config = replace(TINY, out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(ConfigurationError, match=match):
+            run_sweep(config, rates=rates, policies=policies, seeds=[0], workers=1)
+        assert ran == []
+        assert not os.path.exists(config.out_dir)
+
     def test_heaviest_cells_run_first(self, tmp_path, monkeypatch):
         import lbsim.harness as hmod
 
@@ -406,11 +431,35 @@ class TestCli:
 
     @pytest.mark.parametrize("extra", [
         "seeds =\n", "[sac]\nbuffer_capacity = 0\n",
-        "[sac]\nbatch_size = 64\nbuffer_capacity = 32\n"])
+        "[sac]\nbatch_size = 64\nbuffer_capacity = 32\n", "step_interval = nan\n",
+        "[sac]\nhidden = 0\n", "[sac]\nupdates_per_step = 0\n", "[sac]\ngamma = 1.5\n",
+        "[sac]\ntau = 0\n", "[sac]\nlearning_rate = -1\n"])
     def test_unrunnable_config_is_config_error(self, tmp_path, capsys, extra):
         path = self._write_config(tmp_path, extra)
         out = str(tmp_path / "out")
         assert cli.main(["run", "--config", path, "--policy", "rlb-sac", "--out", out]) == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("old, new", [
+        ("rate = 0.8", "rate = nan"),
+        ("first_episode_duration = 5", "first_episode_duration = inf")])
+    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, old, new):
+        path = tmp_path / "config.ini"
+        self._write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        out = str(tmp_path / "out")
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert cli.main(["run", "--config", str(path), "--policy", "rlb-sac",
+                         "--out", out]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_sweep_bad_rate_is_config_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, "--rates=-0.5,0.9", "--policies", "sed",
+                         "--seeds", "0", "--out", out]) == 1
+        assert "rate must be positive" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
