@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures.
+Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures,
+a sweep with any failed cell included.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def _cmd_sweep(args) -> int:
     for cell in failed:
         print(f"cell failed: policy={cell.policy} rate={cell.rate}: {cell.status}",
               file=sys.stderr)
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_validate(args) -> int:

@@ -503,7 +503,8 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
     """Run policies x rates x seeds and aggregate last-episode medians."""
     if not rates or not policies or not seeds:
         raise ConfigurationError("sweep needs nonempty rates, policies, and seeds")
-    # building every cell's config checks each policy and rate before any cell runs
+    # building the topology and every cell's config checks them before any cell runs
+    config.topology(seeds[0])
     cell_configs = {(p, r): replace(config, policy=p, rate_fraction=r)
                     for p in policies for r in rates}
     out = out_dir if out_dir is not None else config.out_dir

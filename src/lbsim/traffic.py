@@ -8,6 +8,7 @@ so changing one distribution never perturbs the others.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,11 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate_fraction <= 0:
-            raise ConfigurationError(f"rate fraction must be positive, got {self.rate_fraction}")
-        if self.mean <= 0:
-            raise ConfigurationError(f"mean workload must be positive, got {self.mean}")
+        if not 0 < self.rate_fraction < math.inf:
+            raise ConfigurationError(
+                f"rate fraction must be finite and > 0, got {self.rate_fraction}")
+        if not 0 < self.mean < math.inf:
+            raise ConfigurationError(f"mean workload must be finite and > 0, got {self.mean}")
         if self.distribution not in (IDENTICAL, EXPONENTIAL):
             raise ConfigurationError(f"unknown workload distribution {self.distribution!r}")
 

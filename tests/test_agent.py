@@ -24,6 +24,14 @@ def fresh_view(n=2):
     return LocalView(0, n, collect=True)
 
 
+def record_completion(view, task, now):
+    """Log a completion on a collecting view, as the engine does."""
+    sid = task.server_id
+    view.ongoing[sid] -= 1
+    view.durations[sid].add(now - task.service_start_time, now)
+    view.tcts[sid].add(now - task.arrival_time, now)
+
+
 def completed_task(server_id, arrival, service_start, completion, lb=0):
     task = Task(0, max(completion - service_start, 1e-9), arrival, lb_id=lb)
     task.server_id = server_id
@@ -50,7 +58,7 @@ class TestObservation:
         view = fresh_view()
         task = completed_task(0, arrival=1.0, service_start=1.0, completion=1.3)
         view.ongoing[0] = 1
-        view.record_completion(task, now=1.3)
+        record_completion(view, task, now=1.3)
         obs = observe(view, now=1.3)
         dur_stats = obs[5:10]
         tct_stats = obs[10:15]
@@ -62,7 +70,7 @@ class TestObservation:
         view = fresh_view()
         task = completed_task(1, arrival=0.0, service_start=0.2, completion=0.5)
         view.ongoing[1] = 1
-        view.record_completion(task, now=0.5)
+        record_completion(view, task, now=0.5)
         obs = observe(view, now=0.5)
         assert abs(obs[16 + 0] - 0.3) < 1e-12      # duration excludes the wait
         assert abs(obs[21 + 0] - 0.5) < 1e-12      # TCT includes it
@@ -96,7 +104,7 @@ class TestObservation:
             start = now - float(rng.uniform(0.0, 0.1))
             task = completed_task(j, start - float(rng.uniform(0.0, 0.1)), start, now)
             view.ongoing[j] += 1
-            view.record_completion(task, now)
+            record_completion(view, task, now)
             durations[j].append((now - start, now))
             tcts[j].append((now - task.arrival_time, now))
         view.ongoing[:] = rng.integers(0, 5, n).tolist()
@@ -646,7 +654,7 @@ class TestResume:
         view.record_arrival(now)
         j = k % view.n
         view.ongoing[j] += 1
-        view.record_completion(completed_task(j, now - 0.2 - 0.1 * j, now - 0.1, now), now)
+        record_completion(view, completed_task(j, now - 0.2 - 0.1 * j, now - 0.1, now), now)
         return now
 
     def test_mid_episode_save_resumes_bit_for_bit(self, tmp_path):

@@ -14,8 +14,6 @@ from lbsim.engine import (
     Task,
     Topology,
     advance_server,
-    dispatch,
-    reschedule,
     residual_workload,
     run_episode,
     server_speed,
@@ -31,6 +29,26 @@ def make_policy(cls=SedPolicy, topo=TOPO_2S, lb=0, seed=0):
     return cls().bind(np.random.default_rng(seed))
 
 
+def loaded_server(workloads, p=4, p_hat=8):
+    """A server at time 0 holding tasks of these workloads, placed as the
+    engine admits arrivals: into service while a slot is free, else the backlog."""
+    server = ServerState(0, p, p_hat)
+    for i, w in enumerate(workloads):
+        task = Task(i, w, 0.0)
+        if len(server.in_service) < p_hat:
+            server.in_service.append(task)
+        else:
+            server.backlog.append(task)
+            server.backlog_work += w
+    server.speed = server.speeds[len(server.in_service)]
+    return server
+
+
+def one_server_episode(tasks, duration, p=4, p_hat=8):
+    topo = Topology(1, ((p, p_hat),))
+    return run_episode(topo, [make_policy(LsqPolicy, topo)], tasks, duration=duration)
+
+
 class TestServerSpeed:
     def test_below_processor_count(self):
         assert server_speed(3, 4, 8) == 1.0
@@ -44,6 +62,15 @@ class TestServerSpeed:
     def test_boundary_exactly_p(self):
         assert server_speed(4, 4, 8) == 1.0
 
+    def test_table_matches_formula_at_every_count(self):
+        # a backlog forms only with all p_hat slots busy, and the speed past
+        # p_hat ongoing equals the speed at p_hat
+        for p, p_hat in ((1, 1), (2, 4), (4, 8), (3, 3)):
+            server = ServerState(0, p, p_hat)
+            assert server.speeds == [server_speed(k, p, p_hat) for k in range(p_hat + 1)]
+            assert all(server_speed(k, p, p_hat) == server.speeds[p_hat]
+                       for k in range(p_hat, 3 * p_hat))
+
     def test_invalid_parameters(self):
         # the speed parameters are checked once, when the server is built
         with pytest.raises(ConfigurationError):
@@ -53,32 +80,25 @@ class TestServerSpeed:
 
 
 class TestAdvanceServer:
-    def _server_with(self, remainings, p=4, p_hat=8):
-        server = ServerState(0, p, p_hat)
-        for i, r in enumerate(remainings):
-            task = Task(i, r, 0.0)
-            dispatch(task, server, 0.0)
-        return server
-
     def test_single_task_full_speed(self):
-        server = self._server_with([0.3])
+        server = loaded_server([0.3])
         advance_server(server, 0.1)
         assert abs(server.in_service[0].remaining_work - 0.2) < 1e-15
 
     def test_shared_speed(self):
-        server = self._server_with([0.6] * 6)
+        server = loaded_server([0.6] * 6)
         advance_server(server, 0.3)
         for task in server.in_service:
             assert abs(task.remaining_work - 0.4) < 1e-15
 
     def test_zero_dt_identity(self):
-        server = self._server_with([0.5, 0.2])
+        server = loaded_server([0.5, 0.2])
         before = [t.remaining_work for t in server.in_service]
         advance_server(server, 0.0)
         assert [t.remaining_work for t in server.in_service] == before
 
     def test_backlogged_tasks_do_not_progress(self):
-        server = self._server_with([1.0] * 10, p=4, p_hat=8)
+        server = loaded_server([1.0] * 10, p=4, p_hat=8)
         advance_server(server, 0.5)
         assert all(t.remaining_work == 1.0 for t in server.backlog)
         # 10 ongoing -> speed 0.5 for the 8 in service
@@ -87,27 +107,33 @@ class TestAdvanceServer:
     def test_drain_returns_least_and_second_least(self):
         # the first of tied least tasks is the one to complete; the second
         # least is what remains once it has left
-        server = self._server_with([0.5, 0.2, 0.9, 0.2])
+        server = loaded_server([0.5, 0.2, 0.9, 0.2])
         assert advance_server(server, 0.1) == (server.in_service[1], 0.2 - 0.1, 0.2 - 0.1)
         assert [t.remaining_work for t in server.in_service] == \
             [0.5 - 0.1, 0.2 - 0.1, 0.9 - 0.1, 0.2 - 0.1]
-        server = self._server_with([0.5, 0.3])
+        server = loaded_server([0.5, 0.3])
         assert advance_server(server, 0.4) == (server.in_service[1], 0.0, 0.5 - 0.4)
         assert advance_server(ServerState(1, 4, 8), 1.0) == (None, math.inf, math.inf)
 
     def test_idle_server_never_completes(self):
-        server = ServerState(0, 4, 8)
-        assert reschedule(server, 2.0, math.inf) == math.inf
-        assert server.speed == 1.0
+        # an idle server's completion time is inf: were it finite, the loop
+        # would try to complete a task on an empty server
+        trace = one_server_episode([], duration=3.0)
+        assert trace.completed == 0
+        trace = one_server_episode([Task(0, 0.3, 0.0)], duration=3.0)
+        assert trace.completed == 1
+        assert trace.tasks[0].completion_time == 0.3
+        server = trace.servers[0]
+        assert server.in_service == [] and server.speed == 1.0
 
     def test_negative_dt_rejected(self):
-        server = self._server_with([0.5])
+        server = loaded_server([0.5])
         advance_server(server, 1.0)
         with pytest.raises(SimulationError):
             advance_server(server, 0.5)
 
     def test_work_monotonicity(self):
-        server = self._server_with([0.9] * 5)
+        server = loaded_server([0.9] * 5)
         last = [t.remaining_work for t in server.in_service]
         for step in range(1, 40):
             advance_server(server, step * 0.01)
@@ -119,27 +145,26 @@ class TestAdvanceServer:
 
 class TestDispatch:
     def test_empty_server_starts_immediately(self):
-        server = ServerState(0, 4, 8)
         task = Task(0, 0.5, 0.0)
-        dispatch(task, server, 0.0)
-        assert server.in_service == [task]
-        assert task.service_start_time == 0.0
+        trace = one_server_episode([task], duration=0.25)
+        assert trace.servers[0].in_service == [task]
+        assert task.server_id == 0
+        assert task.dispatch_time == task.service_start_time == 0.0
 
     def test_full_cap_goes_to_backlog(self):
-        server = ServerState(0, 4, 8)
-        for i in range(8):
-            dispatch(Task(i, 0.5, 0.0), server, 0.0)
-        overflow = Task(8, 0.5, 0.0)
-        dispatch(overflow, server, 0.0)
-        assert overflow in server.backlog
+        tasks = [Task(i, 0.5, 0.0) for i in range(9)]
+        trace = one_server_episode(tasks, duration=0.25)
+        server, overflow = trace.servers[0], tasks[8]
+        assert server.in_service == tasks[:8]
+        assert list(server.backlog) == [overflow]
+        assert server.backlog_work == 0.5
+        assert overflow.dispatch_time == 0.0
         assert overflow.service_start_time is None
 
     def test_double_dispatch_rejected(self):
-        server = ServerState(0, 4, 8)
         task = Task(0, 0.5, 0.0)
-        dispatch(task, server, 0.0)
-        with pytest.raises(SimulationError):
-            dispatch(task, server, 0.1)
+        with pytest.raises(SimulationError, match="already dispatched"):
+            one_server_episode([task, task], duration=1.0)
 
     def test_fifo_promotion_through_engine(self):
         # one slot (p_hat=1): three equal tasks must start in dispatch order
@@ -156,24 +181,31 @@ class TestResidualWorkload:
         assert residual_workload(ServerState(0, 4, 8)) == 0.0
 
     def test_sum_of_remaining(self):
-        server = ServerState(0, 4, 8)
-        dispatch(Task(0, 0.2, 0.0), server, 0.0)
-        dispatch(Task(1, 0.5, 0.0), server, 0.0)
+        server = loaded_server([0.2, 0.5])
         assert abs(residual_workload(server) - 0.7) < 1e-15
 
     def test_independent_of_processor_count(self):
         # ten tasks of 0.1 each on a 4-processor server: unit-speed remaining
         # work is 1.0 regardless of p
-        server = ServerState(0, 4, 8)
-        for i in range(10):
-            dispatch(Task(i, 0.1, 0.0), server, 0.0)
+        server = loaded_server([0.1] * 10)
         assert abs(residual_workload(server) - 1.0) < 1e-15
 
     def test_not_advanced_is_an_error(self):
-        server = ServerState(0, 4, 8)
-        dispatch(Task(0, 0.2, 0.0), server, 0.0)
+        server = loaded_server([0.2])
         with pytest.raises(SimulationError):
             residual_workload(server, now=1.0)
+
+
+class TestTask:
+    @pytest.mark.parametrize("workload", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_bad_workload_rejected(self, workload):
+        with pytest.raises(ConfigurationError, match="workload"):
+            Task(0, workload, 0.0)
+
+    @pytest.mark.parametrize("arrival_time", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_arrival_time_rejected(self, arrival_time):
+        with pytest.raises(ConfigurationError, match="arrival time"):
+            Task(0, 0.1, arrival_time)
 
 
 class TestRunEpisode:
@@ -393,17 +425,24 @@ class TestChannelLog:
                 assert np.array(got).tobytes() == np.array(want).tobytes(), k
 
     def test_non_collecting_view_stores_no_samples(self):
-        view = LocalView(0, 2, collect=False)
-        for k in range(1, 6):
-            now = 0.5 * k
-            view.record_arrival(now)
-            task = Task(k, 0.1, now - 0.3)
-            task.server_id = k % 2
-            task.service_start_time = now - 0.2
-            view.ongoing[task.server_id] += 1
-            view.record_completion(task, now)
+        views = []
+
+        class Alternate(LsqPolicy):
+            turn = 0
+
+            def select(self, ctx):
+                self.turn += 1
+                return self.turn % 2
+
+            def on_episode_end(self, view, now):
+                views.append(view)
+
+        tasks = [Task(k, 0.1, 0.5 * k) for k in range(5)]
+        run_episode(TOPO_2S, [make_policy(Alternate)], tasks, duration=3.0)
+        (view,) = views
         channels = [view.interarrival, *view.durations, *view.tcts]
         assert all(len(ch.values) == len(ch.times) == 0 for ch in channels)
+        assert view.interarrival.count == 0
         assert [ch.count for ch in view.tcts] == [2, 3]
         for ch in view.tcts:
             with pytest.raises(SimulationError):

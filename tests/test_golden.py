@@ -4,8 +4,10 @@ Pins the output of the learner end to end: any change to the SAC core, the
 observation path or the engine that moves a single bit of ``steps.csv`` or a
 checkpointed network shows here.  The baseline runs pin the engine and the
 dispatch policies alone: two-LB routing and a filled backlog on 2lb-8s in
-overload, and SED's random tie-break on 1lb-2s.  A deliberate behaviour
-change updates the hashes and says why in CHANGES.md.
+overload, and SED's random tie-break on 1lb-2s.  ``steps.csv`` holds only
+sums at each boundary, so two of them also pin every task's placement and
+times.  A deliberate behaviour change updates the hashes and says why in
+CHANGES.md.
 """
 import hashlib
 import os
@@ -13,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from lbsim import engine, harness
 from lbsim.agent import SacConfig
 from lbsim.harness import PRESETS, ExperimentConfig, run_experiment
 
@@ -88,3 +91,28 @@ def test_baseline_run_bytes(tmp_path, name):
         with open(os.path.join(out, csv), "rb") as fh:
             found.append(hashlib.sha256(fh.read()).hexdigest())
     assert tuple(found) == BASELINE_SHA256[name]
+
+
+# SHA-256 of repr() of every task's (server_id, dispatch_time,
+# service_start_time, completion_time, remaining_work) after the first
+# episode; repr of a float round-trips, so this pins every bit
+TASK_SHA256 = {
+    "sed-2lb-8s": "771fa1e05fda5e74a8ecb1522b07845bed5c4ca5458f0b3e594c94898061f699",
+    "sed-1lb-2s": "bb884e9b3dd1cd1ad6cecf87d064e6fff2588b967bae552113235dd40a5658cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TASK_SHA256))
+def test_baseline_task_fields(monkeypatch, name):
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.append(engine.run_episode(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_episode", recording)
+    run_experiment(replace(BASELINE_RUNS[name], episodes=1), write_files=False)
+    (trace,) = traces
+    fields = [(t.server_id, t.dispatch_time, t.service_start_time, t.completion_time,
+               t.remaining_work) for t in trace.tasks]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == TASK_SHA256[name]

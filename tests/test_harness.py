@@ -351,6 +351,21 @@ class TestSweep:
         assert ran == []
         assert not os.path.exists(config.out_dir)
 
+    @pytest.mark.parametrize("lbs, servers, match", [
+        (1, (), "need at least one server"), (0, ((2, 4),), "need at least one LB"),
+        (1, ((2, 1),), "invalid")])
+    def test_bad_topology_rejected_before_any_cell_runs(self, tmp_path, monkeypatch,
+                                                        lbs, servers, match):
+        import lbsim.harness as hmod
+
+        ran = []
+        monkeypatch.setattr(hmod, "_sweep_cell", ran.append)
+        config = replace(TINY, lbs=lbs, servers=servers, out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(ConfigurationError, match=match):
+            run_sweep(config, rates=[0.8], policies=["sed"], seeds=[0], workers=1)
+        assert ran == []
+        assert not os.path.exists(config.out_dir)
+
     def test_heaviest_cells_run_first(self, tmp_path, monkeypatch):
         import lbsim.harness as hmod
 
@@ -471,6 +486,28 @@ class TestCli:
                          "--policies", "sed", "--seeds", "0", "--out", out]) == 1
         assert "LBSIM_WORKERS" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_sweep_with_failed_cell_exits_2(self, tmp_path, monkeypatch, capsys):
+        import lbsim.harness as hmod
+
+        real = hmod.run_episode
+
+        def flaky(topology, policies, *args, **kwargs):
+            if policies[0].name == "lsq":
+                raise RuntimeError("boom")
+            return real(topology, policies, *args, **kwargs)
+
+        monkeypatch.setattr(hmod, "run_episode", flaky)
+        monkeypatch.setenv("LBSIM_WORKERS", "1")
+        path = self._write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, "--rates", "0.8",
+                         "--policies", "sed,lsq", "--seeds", "0", "--out", out]) == 2
+        table = read_table(os.path.join(out, "table.csv"))
+        assert [(r[0], r[5]) for r in table] == \
+            [("sed", "ok"), ("lsq", "seed 0: RuntimeError: boom")]
+        err = capsys.readouterr().err
+        assert "cell failed: policy=lsq rate=0.8: seed 0: RuntimeError: boom" in err
 
     def test_sweep_cli(self, tmp_path):
         path = self._write_config(tmp_path)

@@ -33,6 +33,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             TrafficSpec(0.5, "exponential", -0.1)
 
+    @pytest.mark.parametrize("rate, mean", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)])
+    def test_rejects_nonfinite_rate_and_mean(self, rate, mean):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrafficSpec(rate, "exponential", mean)
+
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ConfigurationError):
             TrafficSpec(0.5, "weibull", 0.1)
