@@ -15,7 +15,6 @@ from .engine import (
     Task,
     Topology,
     advance_server,
-    residual_workload,
     run_episode,
     server_speed,
 )

@@ -60,15 +60,6 @@ class SacConfig:
     include_duration: bool = True
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-
 @dataclass
 class Batch:
     state: np.ndarray
@@ -96,13 +87,14 @@ class ReplayBuffer:
         self._idx = 0
         self.size = 0
 
-    def push(self, transition: Transition) -> None:
+    def push(self, state: np.ndarray, action: np.ndarray, reward: float,
+             next_state: np.ndarray, done: bool) -> None:
         i = self._idx
-        self.state[i] = transition.state
-        self.action[i] = transition.action
-        self.reward[i] = transition.reward
-        self.next_state[i] = transition.next_state
-        self.done[i] = 1.0 if transition.done else 0.0
+        self.state[i] = state
+        self.action[i] = action
+        self.reward[i] = reward
+        self.next_state[i] = next_state
+        self.done[i] = 1.0 if done else 0.0
         self._idx = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -297,27 +289,6 @@ class CriticNet(ActorNet):
         return np.repeat(np.asarray(d_q, dtype=float), self.n)[:, None]
 
 
-class SacModel:
-    """Actor, critic, the critic's guiding (slow) copy, and the entropy temperature."""
-
-    def __init__(self, n_servers: int, srv_dim: int, hidden: int,
-                 rng: np.random.Generator, log_alpha_init: float):
-        self.actor = ActorNet(n_servers, LB_FEATURES, srv_dim, hidden, rng)
-        self.critic = CriticNet(n_servers, LB_FEATURES, srv_dim, hidden, rng)
-        # Small policy-head init: the policy starts as a near-constant
-        # function of the observation and earns its reactivity through
-        # training.  A randomly-initialized head reacts to every noisy
-        # feature from step one, and that reactivity feeds the dispatch loop
-        # (counts -> action -> counts) as oscillation.
-        self.actor.head.layers[-1].w *= 0.01
-        self.guiding_critic = self.critic.copy()
-        self.log_alpha = np.array([log_alpha_init])
-
-    @property
-    def alpha(self) -> float:
-        return float(np.exp(self.log_alpha[0]))
-
-
 class SacAgent:
     """One learning load balancer: local observations in, speed weights out."""
 
@@ -329,15 +300,23 @@ class SacAgent:
             for k in range(3))
         srv_dim = SERVER_FEATURES if config.include_duration else SERVER_FEATURES_STRICT
         self.obs_dim = LB_FEATURES + srv_dim * n_servers
-        self.model = SacModel(n_servers, srv_dim, config.hidden, init_rng,
-                              config.log_alpha_init)
+        self.actor = ActorNet(n_servers, LB_FEATURES, srv_dim, config.hidden, init_rng)
+        self.critic = CriticNet(n_servers, LB_FEATURES, srv_dim, config.hidden, init_rng)
+        # Small policy-head init: the policy starts as a near-constant
+        # function of the observation and earns its reactivity through
+        # training.  A randomly-initialized head reacts to every noisy
+        # feature from step one, and that reactivity feeds the dispatch loop
+        # (counts -> action -> counts) as oscillation.
+        self.actor.head.layers[-1].w *= 0.01
+        self.guiding_critic = self.critic.copy()
+        self.log_alpha = np.array([config.log_alpha_init])
         self.normalizer = ObservationNormalizer(n_servers, srv_dim)
         self.buffer = ReplayBuffer(config.buffer_capacity, self.obs_dim, n_servers,
                                    replay_rng)
         lr = config.learning_rate
-        self.actor_opt = nets.Adam(self.model.actor.flat, lr=lr)
-        self.critic_opt = nets.Adam(self.model.critic.flat, lr=lr)
-        self.alpha_opt = nets.Adam(self.model.log_alpha, lr=lr)
+        self.actor_opt = nets.Adam(self.actor.flat, lr=lr)
+        self.critic_opt = nets.Adam(self.critic.flat, lr=lr)
+        self.alpha_opt = nets.Adam(self.log_alpha, lr=lr)
         self.target_entropy = -float(n_servers)
         self.prev_obs: Optional[np.ndarray] = None
         self.prev_action: Optional[np.ndarray] = None
@@ -347,7 +326,7 @@ class SacAgent:
 
     @property
     def alpha(self) -> float:
-        return self.model.alpha
+        return float(np.exp(self.log_alpha[0]))
 
     # -- environment interface -------------------------------------------
 
@@ -359,13 +338,7 @@ class SacAgent:
         boundary of an episode stores no transition; training starts once
         the buffer holds a full batch.
         """
-        obs = observe(view, now, self.config.include_duration)
-        self.normalizer.update(obs)
-        if self.prev_obs is not None:
-            self.buffer.push(Transition(self.prev_obs, self.prev_action, view.reward(now),
-                                        obs, False))
-            # stored: a checkpoint written if training diverges has nothing pending
-            self.prev_obs = self.prev_action = None
+        obs = self._observe_and_store(view, now, done=False)
         if self.buffer.size >= self.config.batch_size:
             for _ in range(self.config.updates_per_step):
                 self.train_step()
@@ -377,16 +350,20 @@ class SacAgent:
 
     def episode_end(self, view, now: float) -> None:
         """Close the episode: store the terminal transition (done=True)."""
+        self._observe_and_store(view, now, done=True)
+
+    def _observe_and_store(self, view, now: float, done: bool) -> np.ndarray:
+        """Observe, update the normalizer, store the pending transition."""
         obs = observe(view, now, self.config.include_duration)
         self.normalizer.update(obs)
         if self.prev_obs is not None:
-            self.buffer.push(Transition(self.prev_obs, self.prev_action, view.reward(now),
-                                        obs, True))
-        self.prev_obs = None
-        self.prev_action = None
+            self.buffer.push(self.prev_obs, self.prev_action, view.reward(now), obs, done)
+            # stored: a checkpoint written if training diverges has nothing pending
+            self.prev_obs = self.prev_action = None
+        return obs
 
     def _act(self, obs: np.ndarray) -> np.ndarray:
-        mean, log_std = self.model.actor.forward(self.normalizer.normalize(obs)[None, :])
+        mean, log_std = self.actor.forward(self.normalizer.normalize(obs)[None, :])
         noise = self.noise_rng.standard_normal(self.n)
         action, _ = nets.gaussian_head_sample(mean[0], log_std[0], noise)
         return action
@@ -416,18 +393,18 @@ class SacAgent:
         """Bootstrapped targets y = r + gamma*(1-done)*(Q~(s',a') - alpha*logpi)."""
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
-        mean2, log_std2 = self.model.actor.forward(batch.next_state)
+        mean2, log_std2 = self.actor.forward(batch.next_state)
         a2, logp2 = nets.gaussian_head_sample(mean2, log_std2, noise)
-        q_next = self.model.guiding_critic.forward(batch.next_state, a2)
+        q_next = self.guiding_critic.forward(batch.next_state, a2)
         return batch.reward + self.config.gamma * (1.0 - batch.done) * (
             q_next - self.alpha * logp2)
 
     def critic_loss_grads(self, batch: Batch, targets: np.ndarray):
         """Squared-error loss against frozen targets and its critic gradients."""
-        q = self.model.critic.forward(batch.state, batch.action)
+        q = self.critic.forward(batch.state, batch.action)
         err = q - targets
         loss = float(np.mean(err * err))
-        return loss, self.model.critic.backward(2.0 * err / len(batch))
+        return loss, self.critic.backward(2.0 * err / len(batch))
 
     def critic_update(self, batch: Batch) -> float:
         """One squared-error step of the critic toward the frozen targets."""
@@ -441,17 +418,17 @@ class SacAgent:
         Gradients flow through the reparameterized sample into the actor;
         the critic only contributes its action-input gradient.
         """
-        mean, log_std_raw = self.model.actor.forward(batch.state)
+        mean, log_std_raw = self.actor.forward(batch.state)
         a, logp, da_dm, da_dls, dlp_dm, dlp_dls = nets.gaussian_head_grads(
             mean, log_std_raw, noise)
-        q = self.model.critic.forward(batch.state, a)
+        q = self.critic.forward(batch.state, a)
         alpha = self.alpha
         B = len(batch)
         loss = float(np.mean(alpha * logp - q))
-        d_action = self.model.critic.action_grad(np.full(B, -1.0 / B))
+        d_action = self.critic.action_grad(np.full(B, -1.0 / B))
         d_mean = (alpha / B) * dlp_dm + d_action * da_dm
         d_ls = (alpha / B) * dlp_dls + d_action * da_dls
-        return loss, self.model.actor.backward(d_mean, d_ls)
+        return loss, self.actor.backward(d_mean, d_ls)
 
     def actor_update(self, batch: Batch) -> float:
         """Reparameterized policy step minimizing alpha*logpi - Q."""
@@ -463,7 +440,7 @@ class SacAgent:
     def alpha_update(self, batch: Batch) -> float:
         """Tune the temperature toward the target entropy; returns new alpha."""
         noise = self.noise_rng.standard_normal((len(batch), self.n))
-        mean, log_std = self.model.actor.forward(batch.state)
+        mean, log_std = self.actor.forward(batch.state)
         _, logp = nets.gaussian_head_sample(mean, log_std, noise)
         self.alpha_opt.step(np.array([-float(np.mean(logp + self.target_entropy))]))
         return self.alpha
@@ -471,9 +448,9 @@ class SacAgent:
     def soft_update(self) -> None:
         """The guiding critic tracks the critic: g <- (1-tau) g + tau main."""
         tau = self.config.tau
-        guiding = self.model.guiding_critic.flat
+        guiding = self.guiding_critic.flat
         guiding *= 1.0 - tau
-        guiding += tau * self.model.critic.flat
+        guiding += tau * self.critic.flat
 
     # -- persistence --------------------------------------------------------
 
@@ -486,8 +463,7 @@ class SacAgent:
         temperature optimizers, the first ``replay_rows`` rows of every
         replay column, then ``pending``: the observation and action of a
         pending transition, or nothing."""
-        model = self.model
-        arrays = [model.actor.flat, model.critic.flat, model.guiding_critic.flat]
+        arrays = [self.actor.flat, self.critic.flat, self.guiding_critic.flat]
         arrays += [a for opt in self._optimizers().values() for a in (opt.m, opt.v)]
         return arrays + [column[:replay_rows] for column in self.buffer.columns()] + pending
 
@@ -498,7 +474,7 @@ class SacAgent:
             "obs_dim": self.obs_dim,
             "include_duration": self.config.include_duration,
             "hidden": self.config.hidden,
-            "log_alpha": float(self.model.log_alpha[0]),
+            "log_alpha": float(self.log_alpha[0]),
             "total_steps": self.total_steps,
             "total_updates": self.total_updates,
             "normalizer": self.normalizer.state(),
@@ -565,7 +541,7 @@ class SacAgent:
             opt.step_count = header["adam_steps"][name]
         self.noise_rng.bit_generator.state = header["rng"]["noise"]
         self.buffer.rng.bit_generator.state = header["rng"]["replay"]
-        self.model.log_alpha[0] = header["log_alpha"]
+        self.log_alpha[0] = header["log_alpha"]
         self.total_steps = header["total_steps"]
         self.total_updates = header["total_updates"]
         self.normalizer.load_state(header["normalizer"])

@@ -8,7 +8,7 @@ remaining work, so each server has a single pending completion: the time
 its least-remaining task finishes.  The server caches its speed (from a
 table built once), and both are recomputed only when its membership changes;
 one pass drains the server and finds the least remaining work.  The event
-loop merges three sources: the pre-sorted arrivals, a step-boundary grid
+loop merges three sources: the time-sorted arrivals, a step-boundary grid
 shared by all LBs, and those per-server completion times.
 
 Each load balancer observes only its own arrivals, dispatches and
@@ -120,44 +120,24 @@ def server_speed(count: int, p: int, p_hat: int) -> float:
     return p / (p_hat if count > p_hat else count)
 
 
-def advance_server(server: ServerState, to_time: float) -> tuple:
+def advance_server(server: ServerState, to_time: float) -> float:
     """Advance the server clock, draining in-service work at the cached speed.
 
     Valid only while membership is unchanged since the speed was refreshed,
-    which the engine ensures.  The same pass returns what the next completion
-    time needs: the first in-service task with the least remaining work (None
-    when idle), that least remaining work, and the second least (or ``inf``).
+    which the engine ensures.  Returns the residual workload in
+    single-processor seconds: the backlog's work plus each in-service task's
+    remaining work, summed in list order.
     """
     dt = to_time - server.last_update_time
     if dt < 0:
         raise SimulationError(f"server {server.id}: time moved backwards by {-dt}")
     server.last_update_time = to_time
     dec = server.speed * dt
-    first = None
-    least = second = math.inf
+    total = server.backlog_work
     for task in server.in_service:
         r = task.remaining_work - dec
         task.remaining_work = r = r if r > 0.0 else 0.0
-        if r < second:
-            if r < least:
-                first, least, second = task, r, least
-            else:
-                second = r
-    return first, least, second
-
-
-def residual_workload(server: ServerState, now: Optional[float] = None) -> float:
-    """Remaining work on the server in single-processor seconds (unit speed).
-
-    Sums remaining work over in-service and backlogged tasks; the server must
-    already be advanced to ``now`` when a time is given.
-    """
-    if now is not None and now != server.last_update_time:
-        raise SimulationError(
-            f"server {server.id} not advanced to {now} (at {server.last_update_time})")
-    total = server.backlog_work
-    for task in server.in_service:
-        total += task.remaining_work
+        total += r
     return total
 
 
@@ -274,7 +254,8 @@ def run_episode(
     first, then the arrival.  At a boundary every LB steps, in LB order;
     the boundary at exactly ``duration`` is excluded.  With several LBs,
     each arrival is routed to one of them uniformly at random from
-    ``routing_rng``, drawn for the whole episode at once.
+    ``routing_rng``, drawn for the whole episode at once.  Arrivals must be
+    sorted by time and start at t >= 0, or ConfigurationError is raised.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be positive, got {duration}")
@@ -314,6 +295,8 @@ def run_episode(
     done_at = [inf] * n
     next_index = 0
     next_arrival = arrivals[0].arrival_time if arrivals else inf
+    if next_arrival < 0:
+        raise ConfigurationError(f"arrival times must be >= 0, got {next_arrival}")
     k = 0
     boundary = 0.0
 
@@ -325,9 +308,7 @@ def run_episode(
         if now >= duration:
             break
         if now == boundary:
-            for server in servers:
-                advance_server(server, now)
-            resid = [residual_workload(servers[j]) / norm_div[j] for j in range(n)]
+            resid = [advance_server(servers[j], now) / norm_div[j] for j in range(n)]
             residuals_per_boundary.append(resid)
             fairness_per_boundary.append(metrics.jain(resid))
             for lb in range(lbs):
@@ -352,6 +333,8 @@ def run_episode(
             next_index += 1
             next_arrival = (arrivals[next_index].arrival_time
                             if next_index < len(arrivals) else inf)
+            if next_arrival < now:
+                raise ConfigurationError(f"arrivals must be sorted: {next_arrival} follows {now}")
             view = views[lb]
             if view.collect:
                 view.record_arrival(now)
@@ -362,7 +345,8 @@ def run_episode(
                 raise SimulationError(f"task {task.id} already dispatched")
             view.ongoing[sid] += 1
 
-        # advance_server's pass, written out: calling it here kept only about
+        # advance_server's drain, written out with a search for the least and
+        # second-least remaining work: calling a helper here kept only about
         # half of the per-event saving, and boundaries stay on advance_server
         # because draining them through this block ran Table-1 cells 8% slower
         server = servers[sid]

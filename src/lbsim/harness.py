@@ -103,7 +103,6 @@ class RunResult:
     seed: int
     summaries: list
     out_dir: Optional[str]
-    config: ExperimentConfig
 
 
 @dataclass
@@ -114,7 +113,6 @@ class SweepCell:
     avg_residual_workload: float
     max_residual_workload: float
     status: str
-    seeds: tuple
 
 
 @dataclass
@@ -458,6 +456,8 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
             if ep == config.episodes - 1:
                 last_residuals = sorted(
                     r for resid in trace.residuals_per_boundary for r in resid)
+            # free this episode's tasks before the next episode generates its own
+            del tasks, trace
     finally:
         if steps_fh is not None:
             steps_fh.close()
@@ -481,7 +481,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
                 policy.agent.save_checkpoint(os.path.join(out, "checkpoints", f"lb{lb}"))
 
     return RunResult(seed=seed, summaries=summaries,
-                     out_dir=out if write_files else None, config=config)
+                     out_dir=out if write_files else None)
 
 
 def _sweep_cell(args) -> tuple:
@@ -541,14 +541,14 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
             errors = [f"seed {s}: {e}" for s, _, _, _, e in entries if e]
             if errors:
                 cells.append(SweepCell(policy, rate, math.nan, math.nan, math.nan,
-                                       "; ".join(errors), tuple(seeds)))
+                                       "; ".join(errors)))
             else:
                 cells.append(SweepCell(
                     policy, rate,
                     statistics.median(x[1] for x in entries),
                     statistics.median(x[2] for x in entries),
                     statistics.median(x[3] for x in entries),
-                    "ok", tuple(seeds)))
+                    "ok"))
 
     if write_files:
         os.makedirs(out, exist_ok=True)

@@ -288,13 +288,13 @@ def test_criterion_7_gradient_checks():
     _, cgrads = agent.critic_loss_grads(batch, targets)
     try:
         fd_param_check(lambda: agent.critic_loss_grads(batch, targets)[0],
-                       agent.model.critic.params(), cgrads, rng, probes=100)
+                       agent.critic.params(), cgrads, rng, probes=100)
     except AssertionError as exc:
         failures.append(f"critic loss: {exc}")
     _, agrads = agent.actor_loss_grads(batch, frozen_noise)
     try:
         fd_param_check(lambda: agent.actor_loss_grads(batch, frozen_noise)[0],
-                       agent.model.actor.params(), agrads, rng, probes=100)
+                       agent.actor.params(), agrads, rng, probes=100)
     except AssertionError as exc:
         failures.append(f"actor loss: {exc}")
 
@@ -310,20 +310,20 @@ def test_criterion_8_sac_sanity():
     # quadratic-critic convergence (sigma must fully decay inside the
     # 2000-update budget, hence the synthetic-task lr of 3e-3)
     agent = tiny_agent(hidden=16, seed=9, learning_rate=3e-3)
-    agent.model.critic = QuadraticCritic(peak=0.5)
-    agent.model.log_alpha[0] = -np.inf
+    agent.critic = QuadraticCritic(peak=0.5)
+    agent.log_alpha[0] = -np.inf
     states = np.zeros((64, agent.obs_dim))
     batch = Batch(states, np.zeros((64, 1)), np.zeros(64), states, np.zeros(64))
     for _ in range(2000):
         agent.actor_update(batch)
-    mean, _ = agent.model.actor.forward(np.zeros((1, agent.obs_dim)))
+    mean, _ = agent.actor.forward(np.zeros((1, agent.obs_dim)))
     target = math.atanh(0.5)
     mean_err = abs(float(mean[0, 0]) - target)
 
     # temperature direction on constructed batches
     def biased(bias):
         a = tiny_agent(seed=3)
-        head = a.model.actor.head.layers[-1]
+        head = a.actor.head.layers[-1]
         head.w[:] = 0.0
         head.b[0] = 0.0
         head.b[1] = bias
@@ -333,7 +333,7 @@ def test_criterion_8_sac_sanity():
     # raw log-std 0 is the midpoint of the bounds: sigma ~ 1 for (-1, 1),
     # entropy above the -1 target
     high = biased(0.0)
-    high.model.actor.log_std_bounds = (-1.0, 1.0)
+    high.actor.log_std_bounds = (-1.0, 1.0)
     b1 = random_batch(high, 8, rng)
     alpha_down = high.alpha_update(b1) < math.exp(high.config.log_alpha_init)
     low = biased(-30.0)           # sigma ~ 0.05 at the floor: below target

@@ -12,7 +12,6 @@ from lbsim.agent import (
     SacAgent,
     SacConfig,
     SacPolicy,
-    Transition,
     action_to_speeds,
     observe,
 )
@@ -141,14 +140,10 @@ class TestActionToSpeeds:
 
 
 class TestReplayBuffer:
-    def _tr(self, k, obs_dim=4, act_dim=2):
-        return Transition(np.full(obs_dim, float(k)), np.zeros(act_dim), float(k),
-                          np.full(obs_dim, float(k + 1)), False)
-
     def test_capacity_bound_and_fifo_eviction(self):
         buf = ReplayBuffer(5, 4, 2, np.random.default_rng(0))
         for k in range(8):
-            buf.push(self._tr(k))
+            buf.push(np.full(4, float(k)), np.zeros(2), float(k), np.full(4, k + 1.0), False)
         assert buf.size == 5
         kept = sorted(buf.reward.tolist())
         assert kept == [3.0, 4.0, 5.0, 6.0, 7.0]
@@ -157,7 +152,8 @@ class TestReplayBuffer:
         def build():
             buf = ReplayBuffer(10, 4, 2, np.random.default_rng(3))
             for k in range(10):
-                buf.push(self._tr(k))
+                buf.push(np.full(4, float(k)), np.zeros(2), float(k), np.full(4, k + 1.0),
+                         False)
             return buf
 
         a, b = build(), build()
@@ -188,8 +184,8 @@ def zero_head(net):
 class TestCriticUpdate:
     def test_loss_is_one_when_q_zero_target_one(self):
         agent = tiny_agent(gamma=0.0)
-        zero_head(agent.model.critic)
-        zero_head(agent.model.guiding_critic)
+        zero_head(agent.critic)
+        zero_head(agent.guiding_critic)
         rng = np.random.default_rng(1)
         batch = random_batch(agent, 4, rng)
         batch.reward[:] = 1.0
@@ -215,13 +211,13 @@ class TestCriticUpdate:
         # independent evaluation of r + gamma*(1-d)*(Q~(s',a') - alpha*logpi);
         # the batch states count as already normalized
         s2 = batch.next_state
-        mean, log_std = agent.model.actor.forward(s2)
+        mean, log_std = agent.actor.forward(s2)
         std = np.exp(log_std)
         u = mean + std * noise
         a2 = np.tanh(u)
         logp = float((-0.5 * noise ** 2 - log_std - 0.5 * math.log(2 * math.pi)
                       - np.log(1 - a2 ** 2 + 1e-6)).sum())
-        q = float(agent.model.guiding_critic.forward(s2, a2)[0])
+        q = float(agent.guiding_critic.forward(s2, a2)[0])
         expected = batch.reward[0] + 0.9 * (q - agent.alpha * logp)
         assert abs(y[0] - expected) < 1e-10
 
@@ -232,7 +228,7 @@ class TestCriticUpdate:
         noise = rng.standard_normal((3, 1))
         targets = agent.critic_targets(batch, noise)
         _, grads = agent.critic_loss_grads(batch, targets)
-        params = agent.model.critic.params()
+        params = agent.critic.params()
 
         def loss():
             return agent.critic_loss_grads(batch, targets)[0]
@@ -259,8 +255,8 @@ class QuadraticCritic:
 class TestActorUpdate:
     def test_constant_critic_and_zero_alpha_give_zero_grads(self):
         agent = tiny_agent()
-        zero_head(agent.model.critic)           # Q == 0 for every action
-        agent.model.log_alpha[0] = -np.inf      # alpha == 0
+        zero_head(agent.critic)           # Q == 0 for every action
+        agent.log_alpha[0] = -np.inf      # alpha == 0
         rng = np.random.default_rng(6)
         batch = random_batch(agent, 4, rng)
         noise = rng.standard_normal((4, 1))
@@ -273,7 +269,7 @@ class TestActorUpdate:
         batch = random_batch(agent, 3, rng)
         noise = rng.standard_normal((3, 1))
         _, grads = agent.actor_loss_grads(batch, noise)
-        params = agent.model.actor.params()
+        params = agent.actor.params()
 
         def loss():
             return agent.actor_loss_grads(batch, noise)[0]
@@ -287,21 +283,21 @@ class TestActorUpdate:
         # sigma decays at roughly lr per update, so the synthetic task runs
         # at lr 3e-3 to turn sigma over fully inside the 2000-update budget.
         agent = tiny_agent(hidden=16, seed=9, learning_rate=3e-3)
-        agent.model.critic = QuadraticCritic(peak=0.5)
-        agent.model.log_alpha[0] = -np.inf
+        agent.critic = QuadraticCritic(peak=0.5)
+        agent.log_alpha[0] = -np.inf
         rng = np.random.default_rng(10)
         states = np.zeros((64, agent.obs_dim))
         batch = Batch(states, np.zeros((64, 1)), np.zeros(64), states, np.zeros(64))
         for _ in range(2000):
             agent.actor_update(batch)
-        mean, _ = agent.model.actor.forward(np.zeros((1, agent.obs_dim)))
+        mean, _ = agent.actor.forward(np.zeros((1, agent.obs_dim)))
         assert abs(mean[0, 0] - math.atanh(0.5)) < 0.05
 
 
 class TestAlphaUpdate:
     def _agent_with_log_std_bias(self, bias):
         agent = tiny_agent()
-        head = agent.model.actor.head.layers[-1]
+        head = agent.actor.head.layers[-1]
         head.w[:] = 0.0
         head.b[0] = 0.0
         head.b[1] = bias
@@ -313,7 +309,7 @@ class TestAlphaUpdate:
         # the squashed density onto the box walls).  A raw log-std of 0 maps
         # to the midpoint of the bounds, so they are centred on 0 here.
         agent = self._agent_with_log_std_bias(0.0)
-        agent.model.actor.log_std_bounds = (-1.0, 1.0)
+        agent.actor.log_std_bounds = (-1.0, 1.0)
         rng = np.random.default_rng(11)
         batch = random_batch(agent, 8, rng)
         before = agent.alpha
@@ -342,7 +338,7 @@ class TestAlphaUpdate:
         rng = np.random.default_rng(14)
         batch = random_batch(agent, 6, rng)
         noise = rng.standard_normal((6, 1))
-        mean, log_std = agent.model.actor.forward(
+        mean, log_std = agent.actor.forward(
             agent.normalizer.normalize(batch.state))
         _, logp = nets.gaussian_head_sample(mean, log_std, noise)
         target = float(-np.mean(logp))
@@ -362,32 +358,32 @@ class TestSoftUpdate:
     def test_tau_one_copies_main(self):
         agent = tiny_agent(tau=1.0)
         rng = np.random.default_rng(15)
-        for p in agent.model.critic.params():
+        for p in agent.critic.params():
             p += rng.normal(size=p.shape)
         agent.soft_update()
-        for g, m in zip(agent.model.guiding_critic.params(), agent.model.critic.params()):
+        for g, m in zip(agent.guiding_critic.params(), agent.critic.params()):
             assert np.array_equal(g, m)
 
     def test_tau_zero_leaves_guiding(self):
         agent = tiny_agent(tau=0.0)
-        before = [p.copy() for p in agent.model.guiding_critic.params()]
-        for p in agent.model.critic.params():
+        before = [p.copy() for p in agent.guiding_critic.params()]
+        for p in agent.critic.params():
             p += 1.0
         agent.soft_update()
-        for g, b in zip(agent.model.guiding_critic.params(), before):
+        for g, b in zip(agent.guiding_critic.params(), before):
             assert np.array_equal(g, b)
 
     def test_geometric_gap_decay(self):
         tau = 0.005
         agent = tiny_agent(tau=tau)
-        for p in agent.model.critic.params():
+        for p in agent.critic.params():
             p += 1.0  # freeze a gap
-        gap0 = [m - g for m, g in zip(agent.model.critic.params(),
-                                      agent.model.guiding_critic.params())]
+        gap0 = [m - g for m, g in zip(agent.critic.params(),
+                                      agent.guiding_critic.params())]
         for k in range(1, 4):
             agent.soft_update()
-            for m, g, g0 in zip(agent.model.critic.params(),
-                                agent.model.guiding_critic.params(), gap0):
+            for m, g, g0 in zip(agent.critic.params(),
+                                agent.guiding_critic.params(), gap0):
                 assert np.allclose(m - g, (1 - tau) ** k * g0, rtol=1e-12, atol=1e-15)
 
 
@@ -411,9 +407,9 @@ class TestStepPipeline:
 
     def test_below_batch_no_gradient_update(self):
         agent = tiny_agent(n=2)
-        before = [p.copy() for p in agent.model.actor.params()]
+        before = [p.copy() for p in agent.actor.params()]
         self._run_steps(agent, steps=3)  # buffer stays below batch_size=4
-        for p, b in zip(agent.model.actor.params(), before):
+        for p, b in zip(agent.actor.params(), before):
             assert np.array_equal(p, b)
         assert agent.total_updates == 0
 
@@ -448,8 +444,8 @@ class TestStepPipeline:
                 a.step(view, 0.5 * k)
             return a
 
-        p1 = run_a(with_b=False).model.actor.params()
-        p2 = run_a(with_b=True).model.actor.params()
+        p1 = run_a(with_b=False).actor.params()
+        p2 = run_a(with_b=True).actor.params()
         for x, y in zip(p1, p2):
             assert np.array_equal(x, y)
 
@@ -472,7 +468,7 @@ class TestEngineIntegration:
         a1, c1 = self._run(seed=3)
         a2, c2 = self._run(seed=3)
         assert c1 == c2
-        for x, y in zip(a1.model.actor.params(), a2.model.actor.params()):
+        for x, y in zip(a1.actor.params(), a2.actor.params()):
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("index,literal", [("jain", False), ("bossaer", False),
@@ -530,8 +526,8 @@ class TestEngineIntegration:
         clone = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=100), seed=1)
         clone.load_checkpoint(tmp_path / "ck")
         x = np.random.default_rng(0).normal(size=(1, agent.obs_dim))
-        a = agent.model.actor.forward(agent.normalizer.normalize(x))
-        b = clone.model.actor.forward(clone.normalizer.normalize(x))
+        a = agent.actor.forward(agent.normalizer.normalize(x))
+        b = clone.actor.forward(clone.normalizer.normalize(x))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert clone.total_steps == agent.total_steps
@@ -540,7 +536,7 @@ class TestEngineIntegration:
 class TestFlatParameters:
     def test_params_are_views_of_flat(self):
         agent = tiny_agent(n=2)
-        for net in (agent.model.actor, agent.model.critic, agent.model.guiding_critic):
+        for net in (agent.actor, agent.critic, agent.guiding_critic):
             params = net.params()
             assert sum(p.size for p in params) == net.flat.size
             assert all(np.shares_memory(p, net.flat) for p in params)
@@ -550,7 +546,7 @@ class TestFlatParameters:
             assert all(np.shares_memory(g, net.grad) for g in grads)
 
     def test_copy_owns_its_vector(self):
-        critic = tiny_agent(n=2).model.critic
+        critic = tiny_agent(n=2).critic
         dup = critic.copy()
         assert dup.flat.tobytes() == critic.flat.tobytes()
         assert not np.shares_memory(dup.flat, critic.flat)
@@ -562,7 +558,7 @@ class TestFlatParameters:
     def test_backward_overwrites_the_whole_gradient(self):
         agent = tiny_agent(n=2, hidden=6)
         batch = random_batch(agent, 5, np.random.default_rng(20))
-        critic = agent.model.critic
+        critic = agent.critic
         critic.grad[:] = np.nan
         critic.forward(batch.state, batch.action)
         grad = critic.backward(np.ones(5))
@@ -573,7 +569,7 @@ class TestFlatParameters:
         rng = np.random.default_rng(21)
         batch = random_batch(agent, 7, rng)
         d_q = rng.normal(size=7)
-        critic = agent.model.critic
+        critic = agent.critic
         critic.forward(batch.state, batch.action)
         critic.grad[:] = 0.0
         d_action = critic.action_grad(d_q)
@@ -584,15 +580,15 @@ class TestFlatParameters:
     def test_soft_update_matches_per_array_update(self):
         agent = tiny_agent(n=2, tau=0.005)
         rng = np.random.default_rng(22)
-        agent.model.critic.flat += rng.normal(size=agent.model.critic.flat.size)
+        agent.critic.flat += rng.normal(size=agent.critic.flat.size)
         expected = []
-        for g, m in zip(agent.model.guiding_critic.params(), agent.model.critic.params()):
+        for g, m in zip(agent.guiding_critic.params(), agent.critic.params()):
             g = g.copy()
             g *= 1.0 - 0.005
             g += 0.005 * m
             expected.append(g.ravel())
         agent.soft_update()
-        assert agent.model.guiding_critic.flat.tobytes() == np.concatenate(expected).tobytes()
+        assert agent.guiding_critic.flat.tobytes() == np.concatenate(expected).tobytes()
 
 
 class TestResume:
@@ -623,10 +619,10 @@ class TestResume:
         assert resumed.buffer.size == 24  # the ring had wrapped at the save
         assert r_resumed == r_whole
         for attr in ("actor", "critic", "guiding_critic"):
-            a = getattr(whole.model, attr).flat
-            b = getattr(resumed.model, attr).flat
+            a = getattr(whole, attr).flat
+            b = getattr(resumed, attr).flat
             assert a.tobytes() == b.tobytes(), attr
-        assert whole.model.log_alpha.tobytes() == resumed.model.log_alpha.tobytes()
+        assert whole.log_alpha.tobytes() == resumed.log_alpha.tobytes()
         for a, b in zip(whole.buffer.columns(), resumed.buffer.columns()):
             assert a.tobytes() == b.tobytes()  # actions, states and rewards
         assert whole.total_updates == resumed.total_updates > 0
@@ -672,8 +668,8 @@ class TestResume:
         for a, b in zip(agent.buffer.columns(), clone.buffer.columns()):
             assert a.tobytes() == b.tobytes()
         for attr in ("actor", "critic", "guiding_critic"):
-            assert getattr(agent.model, attr).flat.tobytes() == \
-                getattr(clone.model, attr).flat.tobytes(), attr
+            assert getattr(agent, attr).flat.tobytes() == \
+                getattr(clone, attr).flat.tobytes(), attr
 
     def _diverged(self, tmp_path):
         """Diverge at the first update (8 transitions); load the dump into a clone."""
@@ -682,7 +678,7 @@ class TestResume:
         view = fresh_view(2)
         for k in range(1, 9):
             agent.step(view, self._feed(view, k))
-        agent.model.critic.flat[:] = np.nan
+        agent.critic.flat[:] = np.nan
         with pytest.raises(nets.DivergenceError):
             agent.step(view, self._feed(view, 9))
         clone = SacAgent(2, self.CONFIG, seed=1)
@@ -694,11 +690,11 @@ class TestResume:
         assert clone.buffer.size == agent.buffer.size == 8
         # the 8th transition is stored, so nothing is pending any more
         assert clone.prev_obs is None and agent.prev_obs is None
-        assert np.isnan(clone.model.critic.flat).all()
+        assert np.isnan(clone.critic.flat).all()
 
     def test_divergence_dump_resumes_without_a_second_copy(self, tmp_path):
         _, view, clone = self._diverged(tmp_path)
-        clone.model.critic.flat[:] = clone.model.guiding_critic.flat  # finite again
+        clone.critic.flat[:] = clone.guiding_critic.flat  # finite again
         clone.step(view, self._feed(view, 10))
         buf = clone.buffer
         rows = {(buf.state[i].tobytes(), buf.action[i].tobytes()) for i in range(buf.size)}

@@ -14,7 +14,6 @@ from lbsim.engine import (
     Task,
     Topology,
     advance_server,
-    residual_workload,
     run_episode,
     server_speed,
 )
@@ -104,16 +103,18 @@ class TestAdvanceServer:
         # 10 ongoing -> speed 0.5 for the 8 in service
         assert all(abs(t.remaining_work - 0.75) < 1e-15 for t in server.in_service)
 
-    def test_drain_returns_least_and_second_least(self):
-        # the first of tied least tasks is the one to complete; the second
-        # least is what remains once it has left
+    def test_drain_returns_residual(self):
+        # the backlog's work plus the drained remaining work, added in list order
         server = loaded_server([0.5, 0.2, 0.9, 0.2])
-        assert advance_server(server, 0.1) == (server.in_service[1], 0.2 - 0.1, 0.2 - 0.1)
+        expected = 0.0 + (0.5 - 0.1) + (0.2 - 0.1) + (0.9 - 0.1) + (0.2 - 0.1)
+        assert advance_server(server, 0.1) == expected
         assert [t.remaining_work for t in server.in_service] == \
             [0.5 - 0.1, 0.2 - 0.1, 0.9 - 0.1, 0.2 - 0.1]
         server = loaded_server([0.5, 0.3])
-        assert advance_server(server, 0.4) == (server.in_service[1], 0.0, 0.5 - 0.4)
-        assert advance_server(ServerState(1, 4, 8), 1.0) == (None, math.inf, math.inf)
+        assert advance_server(server, 0.4) == 0.0 + (0.5 - 0.4) + 0.0  # clamped at zero
+        server = loaded_server([1.0] * 10)
+        assert advance_server(server, 0.5) == 2.0 + 8 * 0.75
+        assert advance_server(ServerState(1, 4, 8), 1.0) == 0.0
 
     def test_idle_server_never_completes(self):
         # an idle server's completion time is inf: were it finite, the loop
@@ -177,23 +178,19 @@ class TestDispatch:
 
 
 class TestResidualWorkload:
+    # advance_server returns the residual; a zero-length drain reads it as is
     def test_empty_server(self):
-        assert residual_workload(ServerState(0, 4, 8)) == 0.0
+        assert advance_server(ServerState(0, 4, 8), 0.0) == 0.0
 
     def test_sum_of_remaining(self):
         server = loaded_server([0.2, 0.5])
-        assert abs(residual_workload(server) - 0.7) < 1e-15
+        assert abs(advance_server(server, 0.0) - 0.7) < 1e-15
 
     def test_independent_of_processor_count(self):
         # ten tasks of 0.1 each on a 4-processor server: unit-speed remaining
         # work is 1.0 regardless of p
         server = loaded_server([0.1] * 10)
-        assert abs(residual_workload(server) - 1.0) < 1e-15
-
-    def test_not_advanced_is_an_error(self):
-        server = loaded_server([0.2])
-        with pytest.raises(SimulationError):
-            residual_workload(server, now=1.0)
+        assert abs(advance_server(server, 0.0) - 1.0) < 1e-15
 
 
 class TestTask:
@@ -329,6 +326,36 @@ class TestRunEpisode:
                     routing_rng=traffic.routing_stream(4, 1))
         scalar = traffic.routing_stream(4, 1)
         assert [t.lb_id for t in tasks] == [int(scalar.integers(2)) for _ in tasks]
+
+    def test_tied_completions_in_admission_order(self):
+        # both tasks have 0.5 s left at t = 0.25 and finish together at 0.75;
+        # the first one admitted completes first
+        completed = []
+
+        class Collecting(LsqPolicy):
+            wants_observations = True
+
+            def on_episode_end(self, view, now):
+                completed.extend(view.tcts[0].values)
+
+        topo = Topology(1, ((4, 8),))
+        tasks = [Task(0, 0.75, 0.0), Task(1, 0.5, 0.25)]
+        trace = run_episode(topo, [make_policy(Collecting, topo)], tasks, duration=1.0)
+        assert [t.completion_time for t in tasks] == [0.75, 0.75]
+        assert completed == [0.75, 0.5]
+        assert trace.completed == 2
+
+    def test_negative_first_arrival_rejected(self):
+        with pytest.raises(ConfigurationError, match="arrival times must be >= 0"):
+            one_server_episode([Task(0, 0.1, -1.0)], duration=1.0)
+
+    def test_unsorted_arrivals_rejected(self):
+        tasks = [Task(0, 0.1, 0.7), Task(1, 0.1, 0.6)]
+        with pytest.raises(ConfigurationError, match="arrivals must be sorted"):
+            one_server_episode(tasks, duration=1.0)
+        # equal times are in order
+        trace = one_server_episode([Task(0, 0.1, 0.7), Task(1, 0.1, 0.7)], duration=1.0)
+        assert trace.completed == 2
 
     def test_backlog_blocks_when_cap_reached(self):
         # p=1, p_hat=2: third concurrent task must wait in the backlog

@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -258,6 +259,24 @@ class TestRunExperiment:
         result = run_experiment(config)
         steps = read_steps(os.path.join(result.out_dir, "steps.csv"))
         assert {row[2] for row in steps} == {0, 1}  # both LB ids present
+
+    def test_one_episode_of_tasks_in_memory(self, monkeypatch):
+        # when episode 1 is generated, nothing of episode 0 still holds its
+        # tasks: only `kept` and getrefcount's own argument refer to one
+        kept, refcounts = [], []
+        generate = harness.traffic.generate
+
+        def spy(spec, topology, duration, episode):
+            if episode == 1:
+                refcounts.append(sys.getrefcount(kept[0]))
+            tasks = generate(spec, topology, duration, episode=episode)
+            if episode == 0:
+                kept.append(tasks[0])
+            return tasks
+
+        monkeypatch.setattr(harness.traffic, "generate", spy)
+        run_experiment(TINY, write_files=False)
+        assert refcounts == [2]
 
     def test_csv_roundtrip_values(self, tmp_path):
         config = replace(TINY, out_dir=str(tmp_path / "run"))
