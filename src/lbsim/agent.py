@@ -155,15 +155,12 @@ class ObservationNormalizer:
         for row in rows:
             self.srv_norm.update(row)
 
-    def normalize(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=float)
-        flat = obs.ndim == 1
-        batch = obs[None, :] if flat else obs
+    def normalize(self, batch: np.ndarray) -> np.ndarray:
+        """Normalize a (B, obs_dim) batch of observations."""
         lb = self.lb_norm.normalize(batch[:, :LB_FEATURES])
         rows = batch[:, LB_FEATURES:].reshape(-1, self.srv_dim)
         srv = self.srv_norm.normalize(rows).reshape(batch.shape[0], -1)
-        out = np.concatenate([lb, srv], axis=1)
-        return out[0] if flat else out
+        return np.concatenate([lb, srv], axis=1)
 
     def state(self) -> dict:
         return {"lb": self.lb_norm.state(), "server": self.srv_norm.state()}
@@ -245,17 +242,6 @@ class ActorNet:
         self._unwind(d_head_in)
         return self.grad
 
-    def copy(self):
-        """Same class and shape with its own parameters (CriticNet too)."""
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)
-        dup.lb_enc = self.lb_enc.copy()
-        dup.srv_enc = self.srv_enc.copy()
-        dup.head = self.head.copy()
-        dup.flat, dup.grad = nets.pack([dup.lb_enc, dup.srv_enc, dup.head])
-        dup._batch = 0
-        return dup
-
 
 class CriticNet(ActorNet):
     """Same encoders plus the per-server action as input; outputs scalar Q.
@@ -308,7 +294,11 @@ class SacAgent:
         # feature from step one, and that reactivity feeds the dispatch loop
         # (counts -> action -> counts) as oscillation.
         self.actor.head.layers[-1].w *= 0.01
-        self.guiding_critic = self.critic.copy()
+        # built like the critic, then given its values; the draws it takes
+        # from init_rng are the last ones, so no other parameter moves
+        self.guiding_critic = CriticNet(n_servers, LB_FEATURES, srv_dim, config.hidden,
+                                        init_rng)
+        self.guiding_critic.flat[:] = self.critic.flat
         self.log_alpha = np.array([config.log_alpha_init])
         self.normalizer = ObservationNormalizer(n_servers, srv_dim)
         self.buffer = ReplayBuffer(config.buffer_capacity, self.obs_dim, n_servers,
@@ -363,7 +353,7 @@ class SacAgent:
         return obs
 
     def _act(self, obs: np.ndarray) -> np.ndarray:
-        mean, log_std = self.actor.forward(self.normalizer.normalize(obs)[None, :])
+        mean, log_std = self.actor.forward(self.normalizer.normalize(obs[None, :]))
         noise = self.noise_rng.standard_normal(self.n)
         action, _ = nets.gaussian_head_sample(mean[0], log_std[0], noise)
         return action
@@ -552,7 +542,6 @@ class SacPolicy(Policy):
 
     name = "rlb-sac"
     wants_observations = True
-    trains = True
 
     def __init__(self, agent: SacAgent, tie_break: str = "random"):
         super().__init__(tie_break)

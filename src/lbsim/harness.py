@@ -152,12 +152,10 @@ def _get(parser, section, key, conv, default=None):
 
 
 def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def int_list(raw: str) -> tuple:
@@ -223,6 +221,11 @@ def _positive_fraction(key, value):
         return f"{key} must be in (0, 1], got {value}"
 
 
+def _nonnegative_ints(key, values):
+    if any(v < 0 for v in values):
+        return f"{key} must be >= 0, got {', '.join(str(v) for v in values)}"
+
+
 class Field(NamedTuple):
     """One INI key: the attribute it sets, its (parse, render) kind, its check.
 
@@ -255,7 +258,7 @@ FIELDS = (
     Field("run", "step_interval", "step_interval", _FLOAT, _positive),
     Field("run", "first_episode_duration", "first_episode_duration", _FLOAT, _positive),
     Field("run", "episode_increment", "episode_increment", _FLOAT, _nonnegative),
-    Field("run", "seeds", "seeds", _INTS),
+    Field("run", "seeds", "seeds", _INTS, _nonnegative_ints),
     Field("run", "reward", "reward_index", _STR, _choice(*metrics.FAIRNESS_INDICES)),
     Field("run", "reward_literal", "reward_literal", _BOOL),
     Field("run", "residual_norm", "residual_norm", _STR, _choice("processors", "unit")),
@@ -286,7 +289,7 @@ def validate_config(text: str) -> tuple:
     Returns (config, warnings).  Topology is the only required section; all
     other fields fall back to the published training defaults.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -323,7 +326,7 @@ def validate_config(text: str) -> tuple:
     warnings = []
     if config.rate_fraction > 1.0:
         warnings.append(f"traffic rate {config.rate_fraction} exceeds capacity: overload regime")
-    if config.policy != "rlb-sac" and parser.has_section("sac") and parser.options("sac"):
+    if config.policy != "rlb-sac" and config.sac != SacConfig():
         warnings.append(f"[sac] options are ignored by baseline policy {config.policy!r}")
     return config, warnings
 
@@ -339,17 +342,14 @@ def load_config(path: str) -> tuple:
 
 def load_sweep_lists(path: str) -> tuple:
     """Pull the [sweep] section (rates, policies, seeds) out of a manifest."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         parser.read_string(fh.read())
     return tuple(_get(parser, "sweep", key, kind[0]) for key, kind in SWEEP_FIELDS)
 
 
-def config_to_manifest(config: ExperimentConfig, seed: Optional[int] = None,
-                       sweep: Optional[dict] = None) -> str:
+def config_to_manifest(config: ExperimentConfig, sweep: Optional[dict] = None) -> str:
     """Render the fully-resolved config as reproducible INI text."""
-    if seed is not None:
-        config = replace(config, seeds=(seed,))
     blocks = []
     for section, rows in groupby(FIELDS, key=lambda row: row.section):
         owner = config.sac if section == "sac" else config
@@ -386,15 +386,11 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
 
 
 def _summarize(episode: int, trace, wall: float) -> EpisodeSummary:
-    if trace.fairness_per_boundary:
-        fairness = float(np.mean(trace.fairness_per_boundary))
-        flat = [r for resid in trace.residuals_per_boundary for r in resid]
-        avg_rw = float(np.mean(flat))
-        max_rw = float(np.max(flat))
-    else:
-        fairness, avg_rw, max_rw = 1.0, 0.0, 0.0
-    mean_reward = float(np.mean([r for _, _, r in trace.rewards])) if trace.rewards else 0.0
-    return EpisodeSummary(episode, fairness, avg_rw, max_rw, mean_reward, wall)
+    # run_episode fires the t = 0 boundary of every episode, so no list is empty
+    flat = [r for resid in trace.residuals_per_boundary for r in resid]
+    return EpisodeSummary(episode, float(np.mean(trace.fairness_per_boundary)),
+                          float(np.mean(flat)), float(np.max(flat)),
+                          float(np.mean([r for _, _, r in trace.rewards])), wall)
 
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
@@ -406,6 +402,8 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
     input normalizers persist.
     """
     seed = config.seeds[0] if seed is None else seed
+    # the manifest records the one seed run, checked like any other value
+    config = replace(config, seeds=(seed,))
     out = out_dir if out_dir is not None else config.out_dir
     topology = config.topology(seed)
     spec = config.traffic_spec(seed)
@@ -418,12 +416,12 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
     if write_files:
         os.makedirs(out, exist_ok=True)
         _atomic_write(os.path.join(out, "manifest.ini"),
-                      config_to_manifest(config, seed=seed))
+                      config_to_manifest(config))
         steps_fh = open(os.path.join(out, "steps.csv"), "w")
         steps_fh.write("episode,time,lb_id,server_id,residual_workload,"
                        "ongoing_count,reward,fairness\n")
         for policy in policies:
-            if policy.trains:
+            if isinstance(policy, SacPolicy):
                 policy.agent.dump_dir = out
 
     summaries = []
@@ -477,7 +475,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
         _atomic_write(os.path.join(out, "cdf.csv"), "\n".join(buf) + "\n")
 
         for lb, policy in enumerate(policies):
-            if policy.trains:
+            if isinstance(policy, SacPolicy):
                 policy.agent.save_checkpoint(os.path.join(out, "checkpoints", f"lb{lb}"))
 
     return RunResult(seed=seed, summaries=summaries,
@@ -505,7 +503,7 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
         raise ConfigurationError("sweep needs nonempty rates, policies, and seeds")
     # building the topology and every cell's config checks them before any cell runs
     config.topology(seeds[0])
-    cell_configs = {(p, r): replace(config, policy=p, rate_fraction=r)
+    cell_configs = {(p, r): replace(config, policy=p, rate_fraction=r, seeds=tuple(seeds))
                     for p in policies for r in rates}
     out = out_dir if out_dir is not None else config.out_dir
 

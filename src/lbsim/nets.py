@@ -198,10 +198,6 @@ class DenseNet:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def params(self) -> list:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -241,12 +237,6 @@ class DenseNet:
         if not param_grads:
             return dx, None
         return dx, [g for layer in self.layers for g in layer.grads()]
-
-    def copy(self) -> "DenseNet":
-        dup = DenseNet([DenseLayer(layer.w, layer.b, layer.activation, layer.layer_norm)
-                        for layer in self.layers])
-        dup.flat[:] = self.flat
-        return dup
 
 
 class InputNormalizer:
@@ -308,20 +298,17 @@ def gaussian_head_sample(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarra
 def gaussian_head_grads(mean: np.ndarray, log_std: np.ndarray, noise: np.ndarray):
     """Partial derivatives used by the reparameterized actor update.
 
-    Returns (a, logp, da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd).
+    Returns (a, logp, da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd), with
+    a and logp from ``gaussian_head_sample``.
     """
+    a, logp = gaussian_head_sample(mean, log_std, noise)
     std = np.exp(log_std)
-    u = mean + std * noise
-    a = np.clip(np.tanh(u), -_TANH_LIMIT, _TANH_LIMIT)
     one_m_a2 = 1.0 - a * a
-    logp_terms = -0.5 * noise * noise - log_std - 0.5 * math.log(2.0 * math.pi) \
-        - np.log(one_m_a2 + SQUASH_EPS)
     dlogp_da = 2.0 * a / (one_m_a2 + SQUASH_EPS)
-    da_dmean = one_m_a2
     da_dlogstd = one_m_a2 * std * noise
-    dlogp_dmean = dlogp_da * da_dmean
+    # not dlogp_da * da_dlogstd: that product associates differently
     dlogp_dlogstd = -1.0 + dlogp_da * one_m_a2 * std * noise
-    return a, logp_terms.sum(axis=-1), da_dmean, da_dlogstd, dlogp_dmean, dlogp_dlogstd
+    return a, logp, one_m_a2, da_dlogstd, dlogp_da * one_m_a2, dlogp_dlogstd
 
 
 class Adam:

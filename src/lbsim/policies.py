@@ -80,20 +80,15 @@ def sed(ctx: PolicyContext, tie_break: str = "lowest") -> int:
 
 
 def rlb_assign(ctx: PolicyContext, tie_break: str = "lowest") -> int:
-    """Server minimizing (ongoing + 1) / inferred speed.
+    """SED's rule on inferred speeds: the server minimizing (ongoing + 1) / speed.
 
     Scale-invariant in the weights: multiplying every inferred speed by the
     same positive constant leaves the decision unchanged.  Counts move on
     every dispatch while the speeds stay frozen between step boundaries.
     """
-    c = ctx.ongoing
-    s = ctx.weights
-    scores = []
-    for j in range(len(c)):
-        if s[j] <= 0:
-            raise RuntimeError(f"inferred speed must be positive, got {s}")
-        scores.append((c[j] + 1) / s[j])
-    return _argmin(scores, tie_break, ctx.rng)
+    if min(ctx.weights) <= 0:
+        raise RuntimeError(f"inferred speed must be positive, got {ctx.weights}")
+    return sed(ctx, tie_break)
 
 
 class Draws:
@@ -147,7 +142,6 @@ class Policy:
 
     name = "base"
     wants_observations = False
-    trains = False
 
     def __init__(self, tie_break: str = "random"):
         self.tie_break = tie_break

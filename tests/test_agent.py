@@ -545,15 +545,14 @@ class TestFlatParameters:
             grads = [g for layer in layers for g in layer.grads()]
             assert all(np.shares_memory(g, net.grad) for g in grads)
 
-    def test_copy_owns_its_vector(self):
-        critic = tiny_agent(n=2).critic
-        dup = critic.copy()
-        assert dup.flat.tobytes() == critic.flat.tobytes()
-        assert not np.shares_memory(dup.flat, critic.flat)
-        assert not np.shares_memory(dup.grad, critic.grad)
-        assert all(np.shares_memory(p, dup.flat) for p in dup.params())
-        dup.flat += 1.0
-        assert not np.array_equal(dup.flat, critic.flat)
+    def test_guiding_critic_starts_as_an_owned_copy(self):
+        agent = tiny_agent(n=2)
+        guiding, critic = agent.guiding_critic, agent.critic
+        assert guiding.flat.tobytes() == critic.flat.tobytes()
+        assert not np.shares_memory(guiding.flat, critic.flat)
+        assert not np.shares_memory(guiding.grad, critic.grad)
+        guiding.flat += 1.0
+        assert not np.array_equal(guiding.flat, critic.flat)
 
     def test_backward_overwrites_the_whole_gradient(self):
         agent = tiny_agent(n=2, hidden=6)

@@ -41,6 +41,7 @@ BAD_VALUES = {
     "step_interval": (0.0, NAN, INF),
     "first_episode_duration": (-1.0, NAN, INF),
     "episode_increment": (-0.5, NAN, INF),
+    "seeds": ((-1,), (0, -3)),
     "reward": ("fair",),
     "residual_norm": ("none",),
     "tie_break": ("lowst",),
@@ -116,6 +117,18 @@ class TestValidateConfig:
         _, warnings = validate_config(
             "[topology]\npreset = 1lb-2s\n[run]\npolicy = sed\n[sac]\nhidden = 32\n")
         assert any("ignored" in w for w in warnings)
+
+    def test_baseline_manifest_roundtrip_gives_no_warnings(self):
+        # a manifest writes every [sac] key at its default, which is not a
+        # [sac] option the baseline ignores
+        clone, warnings = validate_config(config_to_manifest(TINY))
+        assert clone == TINY
+        assert warnings == []
+
+    def test_percent_is_literal(self):
+        config, _ = validate_config("[topology]\npreset = 1lb-2s\n"
+                                    "[run]\npolicy = sed\nout = x/%(policy)s%1\n")
+        assert config.out_dir == "x/%(policy)s%1"
 
     def test_manifest_roundtrip(self):
         config, _ = validate_config("[topology]\npreset = 2lb-4s\n"
@@ -527,6 +540,32 @@ class TestCli:
             [("sed", "ok"), ("lsq", "seed 0: RuntimeError: boom")]
         err = capsys.readouterr().err
         assert "cell failed: policy=lsq rate=0.8: seed 0: RuntimeError: boom" in err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        path = self._write_config(tmp_path, "seeds = -1\n")
+        assert cli.main(["validate", "--config", path]) == 1
+        assert cli.main(["run", "--config", path, "--out", out]) == 1
+        path = self._write_config(tmp_path)
+        assert cli.main(["run", "--config", path, "--seed", "-3", "--out", out]) == 1
+        assert cli.main(["sweep", "--config", path, "--rates", "0.8", "--policies", "sed",
+                         "--seeds", "-2", "--out", out]) == 1
+        assert capsys.readouterr().err.count("seeds must be >= 0") == 4
+        assert not os.path.exists(out)
+
+    def test_rerun_from_manifest_with_percent_in_out(self, tmp_path, capsys):
+        self._write_config(tmp_path, "[sac]\nbatch_size = 8\nbuffer_capacity = 64\n")
+        path = tmp_path / "config.ini"
+        path.write_text(path.read_text().replace("policy = sed", "policy = rlb-sac"))
+        first, second = str(tmp_path / "run%1"), str(tmp_path / "rerun%(policy)s")
+        assert cli.main(["run", "--config", str(path), "--seed", "1", "--out", first]) == 0
+        assert cli.main(["run", "--config", os.path.join(first, "manifest.ini"),
+                         "--out", second]) == 0
+        assert "warning" not in capsys.readouterr().err
+        for name in ("steps.csv", os.path.join("checkpoints", "lb0", "agent.ckpt")):
+            with open(os.path.join(first, name), "rb") as a, \
+                    open(os.path.join(second, name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_sweep_cli(self, tmp_path):
         path = self._write_config(tmp_path)

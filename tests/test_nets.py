@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lbsim import nets
 from lbsim.nets import (
@@ -194,14 +197,6 @@ class TestFlatStorage:
         net.layers[0].gain[:] = 2.0
         assert np.all(net.flat[3 * 5 + 5:3 * 5 + 10] == 2.0)
 
-    def test_copy_owns_its_vector(self):
-        net = DenseNet.build([3, 5, 2], np.random.default_rng(14))
-        dup = net.copy()
-        assert dup.flat.tobytes() == net.flat.tobytes()
-        assert not np.shares_memory(dup.flat, net.flat)
-        dup.layers[0].w[0, 0] += 1.0
-        assert dup.flat[0] != net.flat[0]
-
     def test_input_only_backward(self):
         rng = np.random.default_rng(15)
         net = DenseNet.build([4, 8, 8, 2], rng)
@@ -269,6 +264,32 @@ class TestGaussianHead:
                 down = logp_sum(mean, log_std)
                 arr[i, j] = saved
                 assert rel_err((up - down) / (2 * h), grads[i, j]) < 1e-4
+
+
+def head_inputs(lo, hi):
+    return hnp.arrays(float, (3, 2), elements=st.floats(lo, hi))
+
+
+class TestGaussianHeadGrads:
+    @given(head_inputs(-30.0, 30.0), head_inputs(-5.0, 2.0), head_inputs(-6.0, 6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_the_written_out_formulas(self, mean, log_std, noise):
+        got = gaussian_head_grads(mean, log_std, noise)
+        a, logp = gaussian_head_sample(mean, log_std, noise)
+        # the sample, squash and partials, each written out as one expression
+        std = np.exp(log_std)
+        limit = float(np.nextafter(1.0, 0.0))
+        a_ref = np.clip(np.tanh(mean + std * noise), -limit, limit)
+        one_m_a2 = 1.0 - a_ref * a_ref
+        logp_ref = (-0.5 * noise * noise - log_std - 0.5 * math.log(2.0 * math.pi)
+                    - np.log(one_m_a2 + nets.SQUASH_EPS)).sum(axis=-1)
+        dlogp_da = 2.0 * a_ref / (one_m_a2 + nets.SQUASH_EPS)
+        expected = (a_ref, logp_ref, one_m_a2, one_m_a2 * std * noise,
+                    dlogp_da * one_m_a2, -1.0 + dlogp_da * one_m_a2 * std * noise)
+        assert got[0].tobytes() == a.tobytes()
+        assert got[1].tobytes() == logp.tobytes()
+        for k, (x, y) in enumerate(zip(got, expected)):
+            assert x.tobytes() == y.tobytes(), k
 
 
 class TestAdam:
