@@ -13,11 +13,9 @@ from . import harness, metrics
 from .engine import ConfigurationError
 
 
-def _load(path: str):
-    config, warnings = harness.load_config(path)
-    for warning in warnings:
+def _warn(warnings) -> None:
+    for warning in dict.fromkeys(warnings):  # each distinct warning once, in order
         print(f"warning: {warning}", file=sys.stderr)
-    return config
 
 
 def _apply_run_overrides(args, config):
@@ -33,7 +31,10 @@ def _apply_run_overrides(args, config):
 
 
 def _cmd_run(args) -> int:
-    config = _apply_run_overrides(args, _load(args.config))
+    config, _ = harness.load_config(args.config)
+    # warn about the config that runs, after the overrides
+    config = _apply_run_overrides(args, config)
+    _warn(harness.config_warnings(config))
     result = harness.run_experiment(config, seed=args.seed)
     last = result.summaries[-1]
     print(f"run complete: policy={config.policy} seed={result.seed} "
@@ -46,7 +47,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args.config)
+    config, _ = harness.load_config(args.config)
     manifest_rates, manifest_policies, manifest_seeds = harness.load_sweep_lists(args.config)
     try:
         rates = harness.float_list(args.rates) if args.rates else manifest_rates
@@ -59,6 +60,9 @@ def _cmd_sweep(args) -> int:
             "sweep needs --rates/--policies/--seeds or a [sweep] section in the config")
     if args.out is not None:
         config = replace(config, out_dir=args.out)
+    # the cells replace the config's policy and rate: warn about what they run
+    cells = harness.sweep_configs(config, rates, policies, seeds)
+    _warn(w for cell in cells.values() for w in harness.config_warnings(cell))
     result = harness.run_sweep(config, rates, policies, seeds)
     print(f"sweep complete: {len(result.cells)} cells, out={result.out_dir}")
     failed = [c for c in result.cells if c.status != "ok"]
@@ -69,7 +73,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load(args.config)
+    config, warnings = harness.load_config(args.config)
+    _warn(warnings)
     print("config ok")
     print(harness.config_to_manifest(config), end="")
     return 0

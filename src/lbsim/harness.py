@@ -14,9 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -221,9 +219,17 @@ def _positive_fraction(key, value):
         return f"{key} must be in (0, 1], got {value}"
 
 
-def _nonnegative_ints(key, values):
+def _distinct(key, values):
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            return f"{key} must be distinct, {value} repeats"
+
+
+def _seed_list(key, values):
+    # a repeated seed would count twice in a sweep cell's median
     if any(v < 0 for v in values):
         return f"{key} must be >= 0, got {', '.join(str(v) for v in values)}"
+    return _distinct(key, values)
 
 
 class Field(NamedTuple):
@@ -258,7 +264,7 @@ FIELDS = (
     Field("run", "step_interval", "step_interval", _FLOAT, _positive),
     Field("run", "first_episode_duration", "first_episode_duration", _FLOAT, _positive),
     Field("run", "episode_increment", "episode_increment", _FLOAT, _nonnegative),
-    Field("run", "seeds", "seeds", _INTS, _nonnegative_ints),
+    Field("run", "seeds", "seeds", _INTS, _seed_list),
     Field("run", "reward", "reward_index", _STR, _choice(*metrics.FAIRNESS_INDICES)),
     Field("run", "reward_literal", "reward_literal", _BOOL),
     Field("run", "residual_norm", "residual_norm", _STR, _choice("processors", "unit")),
@@ -322,13 +328,17 @@ def validate_config(text: str) -> tuple:
             values[row.owner][row.attr] = _get(parser, row.section, row.key, row.kind[0])
     config = ExperimentConfig(sac=SacConfig(**values[SacConfig]), **values[ExperimentConfig])
     Topology(config.lbs, config.servers)  # rejects an invalid LB count or server list
+    return config, config_warnings(config)
 
+
+def config_warnings(config: ExperimentConfig) -> list:
+    """What is legal but likely unintended in a config, as it will run."""
     warnings = []
     if config.rate_fraction > 1.0:
         warnings.append(f"traffic rate {config.rate_fraction} exceeds capacity: overload regime")
     if config.policy != "rlb-sac" and config.sac != SacConfig():
         warnings.append(f"[sac] options are ignored by baseline policy {config.policy!r}")
-    return config, warnings
+    return warnings
 
 
 def load_config(path: str) -> tuple:
@@ -494,17 +504,28 @@ def _sweep_cell(args) -> tuple:
                 f"{type(exc).__name__}: {exc}")
 
 
+def sweep_configs(config: ExperimentConfig, rates: Sequence[float],
+                  policies: Sequence[str], seeds: Sequence[int]) -> dict:
+    """Each sweep cell's config by (policy, rate), all checked before any cell runs."""
+    if not rates or not policies or not seeds:
+        raise ConfigurationError("sweep needs nonempty rates, policies, and seeds")
+    # a repeated rate or policy would run its cells twice; seeds are checked
+    # with the cell configs
+    for key, values in (("rates", rates), ("policies", policies)):
+        problem = _distinct(key, values)
+        if problem:
+            raise ConfigurationError(problem)
+    config.topology(seeds[0])
+    return {(p, r): replace(config, policy=p, rate_fraction=r, seeds=tuple(seeds))
+            for p in policies for r in rates}
+
+
 def run_sweep(config: ExperimentConfig, rates: Sequence[float],
               policies: Sequence[str], seeds: Sequence[int],
               out_dir: Optional[str] = None, workers: Optional[int] = None,
               write_files: bool = True) -> SweepResult:
     """Run policies x rates x seeds and aggregate last-episode medians."""
-    if not rates or not policies or not seeds:
-        raise ConfigurationError("sweep needs nonempty rates, policies, and seeds")
-    # building the topology and every cell's config checks them before any cell runs
-    config.topology(seeds[0])
-    cell_configs = {(p, r): replace(config, policy=p, rate_fraction=r, seeds=tuple(seeds))
-                    for p in policies for r in rates}
+    cell_configs = sweep_configs(config, rates, policies, seeds)
     out = out_dir if out_dir is not None else config.out_dir
 
     if workers is None:
@@ -525,12 +546,17 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
     if workers == 1:
         outcomes = [_sweep_cell(job) for job in jobs]
     else:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_cell, jobs, chunksize=1))
 
     by_cell: dict = {}
     for policy, rate, seed, fi, avg, mx, error in outcomes:
         by_cell.setdefault((policy, rate), []).append((seed, fi, avg, mx, error))
+
+    import statistics  # imported here: only the cell medians use it
 
     cells = []
     for policy in policies:

@@ -1,6 +1,8 @@
 import glob
+import json
 import math
 import os
+import subprocess
 import sys
 from dataclasses import fields, replace
 
@@ -41,7 +43,7 @@ BAD_VALUES = {
     "step_interval": (0.0, NAN, INF),
     "first_episode_duration": (-1.0, NAN, INF),
     "episode_increment": (-0.5, NAN, INF),
-    "seeds": ((-1,), (0, -3)),
+    "seeds": ((-1,), (0, -3), (2, 2), (3, 1, 3)),
     "reward": ("fair",),
     "residual_norm": ("none",),
     "tie_break": ("lowst",),
@@ -117,6 +119,14 @@ class TestValidateConfig:
         _, warnings = validate_config(
             "[topology]\npreset = 1lb-2s\n[run]\npolicy = sed\n[sac]\nhidden = 32\n")
         assert any("ignored" in w for w in warnings)
+
+    def test_warnings_follow_the_config_that_runs(self):
+        config, warnings = validate_config(
+            "[topology]\npreset = 1lb-2s\n[traffic]\nrate = 1.2\n"
+            "[run]\npolicy = sed\n[sac]\nhidden = 32\n")
+        assert warnings == harness.config_warnings(config)
+        assert len(warnings) == 2
+        assert harness.config_warnings(replace(config, policy="rlb-sac", rate_fraction=0.9)) == []
 
     def test_baseline_manifest_roundtrip_gives_no_warnings(self):
         # a manifest writes every [sac] key at its default, which is not a
@@ -398,6 +408,25 @@ class TestSweep:
         assert ran == []
         assert not os.path.exists(config.out_dir)
 
+    @pytest.mark.parametrize("rates, policies, seeds, match", [
+        ([0.9, 0.9], ["sed"], [0], "rates must be distinct, 0.9 repeats"),
+        ([0.8, 0.9, 0.8], ["sed"], [0], "rates must be distinct, 0.8 repeats"),
+        ([0.8], ["sed", "lsq", "sed"], [0], "policies must be distinct, sed repeats"),
+        ([0.8], ["sed"], [3, 3, 2], "seeds must be distinct, 3 repeats")])
+    def test_repeated_entry_rejected_before_any_cell_runs(self, tmp_path, monkeypatch,
+                                                          rates, policies, seeds, match):
+        # a repeated seed would weigh twice in the cell median, a repeated
+        # rate or policy would run its cells twice and write two equal rows
+        import lbsim.harness as hmod
+
+        ran = []
+        monkeypatch.setattr(hmod, "_sweep_cell", ran.append)
+        config = replace(TINY, out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(ConfigurationError, match=match):
+            run_sweep(config, rates=rates, policies=policies, seeds=seeds, workers=1)
+        assert ran == []
+        assert not os.path.exists(config.out_dir)
+
     def test_heaviest_cells_run_first(self, tmp_path, monkeypatch):
         import lbsim.harness as hmod
 
@@ -567,6 +596,43 @@ class TestCli:
                     open(os.path.join(second, name), "rb") as b:
                 assert a.read() == b.read(), name
 
+    def test_run_warns_for_the_overridden_policy(self, tmp_path, capsys):
+        # the warnings are those of the config after --policy, not of the file's
+        sac = "[sac]\nbatch_size = 8\nbuffer_capacity = 64\n"
+        path = self._write_config(tmp_path, sac)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", path, "--policy", "rlb-sac", "--out", out]) == 0
+        assert "warning" not in capsys.readouterr().err
+        path = tmp_path / "config.ini"
+        path.write_text(path.read_text().replace("policy = sed", "policy = rlb-sac"))
+        assert cli.main(["run", "--config", str(path), "--policy", "sed", "--out", out]) == 0
+        assert "warning: [sac] options are ignored by baseline policy 'sed'" in \
+            capsys.readouterr().err
+
+    def test_sweep_warns_once_for_the_cells_it_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LBSIM_WORKERS", "1")
+        path = tmp_path / "config.ini"
+        self._write_config(tmp_path, "[sac]\nhidden = 8\n")
+        path.write_text(path.read_text().replace("policy = sed", "policy = rlb-sac")
+                        .replace("rate = 0.8", "rate = 1.2"))
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", str(path), "--rates", "0.6,0.8",
+                         "--policies", "sed", "--seeds", "0", "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert "warning: [sac] options are ignored by baseline policy 'sed'" in err
+
+    @pytest.mark.parametrize("lists", [
+        ["--rates", "0.8,0.8", "--policies", "sed", "--seeds", "0"],
+        ["--rates", "0.8", "--policies", "sed,sed", "--seeds", "0"],
+        ["--rates", "0.8", "--policies", "sed", "--seeds", "3,3,2"]])
+    def test_sweep_repeated_entry_is_config_error(self, tmp_path, capsys, lists):
+        path = self._write_config(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, *lists, "--out", out]) == 1
+        assert "must be distinct" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_sweep_cli(self, tmp_path):
         path = self._write_config(tmp_path)
         out = str(tmp_path / "out")
@@ -574,3 +640,44 @@ class TestCli:
                          "--policies", "sed,lsq", "--seeds", "0", "--out", out])
         assert code == 0
         assert os.path.exists(os.path.join(out, "table.csv"))
+
+
+# A fresh interpreter reports which of these modules set-up, a run and a
+# one-worker sweep have loaded.
+STARTUP_PROBE = """
+import json, sys
+from dataclasses import replace
+import lbsim
+from lbsim import harness
+
+WATCHED = ("concurrent.futures", "multiprocessing", "statistics")
+
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+
+seen = {"import": loaded()}
+config, _ = harness.load_config(sys.argv[1])
+seen["load_config"] = loaded()
+harness.run_experiment(config, write_files=False)
+seen["run_experiment"] = loaded()
+harness.run_sweep(config, [0.8], ["sed"], [0], workers=1, write_files=False)
+seen["run_sweep"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_process_pool_loads_only_for_a_pooled_sweep(tmp_path):
+    # run, validate and benchmark set-up never start a pool, so they must not
+    # pay for importing one
+    path = tmp_path / "config.ini"
+    path.write_text("[topology]\npreset = 1lb-2s\n[traffic]\nrate = 0.8\n"
+                    "[run]\npolicy = sed\nepisodes = 1\nfirst_episode_duration = 5\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen["import"] == seen["load_config"] == seen["run_experiment"] == []
+    assert "concurrent.futures" not in seen["run_sweep"]
+    assert "multiprocessing" not in seen["run_sweep"]
