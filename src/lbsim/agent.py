@@ -543,8 +543,7 @@ class SacPolicy(Policy):
     name = "rlb-sac"
     wants_observations = True
 
-    def __init__(self, agent: SacAgent, tie_break: str = "random"):
-        super().__init__(tie_break)
+    def __init__(self, agent: SacAgent):
         self.agent = agent
 
     def initial_weights(self, topology) -> list:
@@ -553,7 +552,7 @@ class SacPolicy(Policy):
         return [0.5 + SPEED_FLOOR] * topology.n_servers
 
     def select(self, ctx) -> int:
-        return rlb_assign(ctx, self.tie_break)
+        return rlb_assign(ctx, "random")
 
     def on_step(self, view, now: float):
         return self.agent.step(view, now)

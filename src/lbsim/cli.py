@@ -18,13 +18,17 @@ def _warn(warnings) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _cell_warnings(config, rates, policies, seeds) -> list:
+    # the cells replace the config's policy and rate: warn about what they run
+    cells = harness.sweep_configs(config, rates, policies, seeds)
+    return [w for cell in cells.values() for w in harness.config_warnings(cell)]
+
+
 def _apply_run_overrides(args, config):
     if args.policy is not None:
         config = replace(config, policy=args.policy)
     if args.reward is not None:
         config = replace(config, reward_index=args.reward)
-    if args.reward_literal:
-        config = replace(config, reward_literal=True)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config
@@ -60,9 +64,7 @@ def _cmd_sweep(args) -> int:
             "sweep needs --rates/--policies/--seeds or a [sweep] section in the config")
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    # the cells replace the config's policy and rate: warn about what they run
-    cells = harness.sweep_configs(config, rates, policies, seeds)
-    _warn(w for cell in cells.values() for w in harness.config_warnings(cell))
+    _warn(_cell_warnings(config, rates, policies, seeds))
     result = harness.run_sweep(config, rates, policies, seeds)
     print(f"sweep complete: {len(result.cells)} cells, out={result.out_dir}")
     failed = [c for c in result.cells if c.status != "ok"]
@@ -74,9 +76,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, warnings = harness.load_config(args.config)
+    sweep = harness.load_sweep_lists(args.config)
+    if sweep == (None, None, None):
+        sweep = None
+    else:
+        # checked as `lbsim sweep` checks them; a list left out is the config's own
+        own = ((config.rate_fraction,), (config.policy,), config.seeds)
+        sweep = tuple(mine if given is None else given for given, mine in zip(sweep, own))
+        warnings = _cell_warnings(config, *sweep)
     _warn(warnings)
     print("config ok")
-    print(harness.config_to_manifest(config), end="")
+    print(harness.config_to_manifest(config, sweep=sweep), end="")
     return 0
 
 
@@ -91,8 +101,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--policy", default=None)
     p_run.add_argument("--reward", choices=sorted(metrics.FAIRNESS_INDICES), default=None)
-    p_run.add_argument("--reward-literal", action="store_true",
-                       help="emit the literal 1 - F reward instead of F - 1")
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 

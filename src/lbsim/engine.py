@@ -243,7 +243,6 @@ def run_episode(
     step_interval: float = 0.5,
     routing_rng: Optional[np.random.Generator] = None,
     reward_fn: Callable = metrics.reward,
-    residual_norm: str = "processors",
 ) -> EpisodeTrace:
     """Run one episode and return its trace.
 
@@ -264,8 +263,6 @@ def run_episode(
     if len(policies) != topology.lbs:
         raise ConfigurationError(
             f"need one policy per LB: {topology.lbs} LBs, {len(policies)} policies")
-    if residual_norm not in ("processors", "unit"):
-        raise ConfigurationError(f"unknown residual norm {residual_norm!r}")
     if topology.lbs > 1 and routing_rng is None:
         raise ConfigurationError("multi-LB topologies need a routing rng")
 
@@ -277,8 +274,6 @@ def run_episode(
                           weights=list(policies[i].initial_weights(topology)),
                           rng=policies[i].rng)
             for i in range(lbs)]
-    norm_div = [float(p) for p, _ in topology.servers] if residual_norm == "processors" \
-        else [1.0] * n
 
     fairness_per_boundary: list = []
     residuals_per_boundary: list = []
@@ -308,7 +303,8 @@ def run_episode(
         if now >= duration:
             break
         if now == boundary:
-            resid = [advance_server(servers[j], now) / norm_div[j] for j in range(n)]
+            # per processor: the time a fully busy server needs to drain its work
+            resid = [advance_server(server, now) / server.p for server in servers]
             residuals_per_boundary.append(resid)
             fairness_per_boundary.append(metrics.jain(resid))
             for lb in range(lbs):

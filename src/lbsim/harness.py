@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -55,9 +56,6 @@ class ExperimentConfig:
     episode_increment: float = 5.0
     seeds: tuple = (0,)
     reward_index: str = "jain"
-    reward_literal: bool = False
-    residual_norm: str = "processors"
-    tie_break: str = "random"
     out_dir: str = "out"
     sac: SacConfig = field(default_factory=SacConfig)
 
@@ -177,7 +175,6 @@ def _fmt_float(x: float) -> str:
 _FLOAT = (float, _fmt_float)
 _INT = (int, str)
 _STR = (str.strip, str)
-_BOOL = (_bool, lambda b: str(b).lower())
 _NOT_BOOL = (lambda raw: not _bool(raw), lambda b: str(not b).lower())
 _INTS = (int_list, lambda xs: ",".join(str(x) for x in xs))
 _FLOATS = (float_list, lambda xs: ",".join(_fmt_float(x) for x in xs))
@@ -266,9 +263,6 @@ FIELDS = (
     Field("run", "episode_increment", "episode_increment", _FLOAT, _nonnegative),
     Field("run", "seeds", "seeds", _INTS, _seed_list),
     Field("run", "reward", "reward_index", _STR, _choice(*metrics.FAIRNESS_INDICES)),
-    Field("run", "reward_literal", "reward_literal", _BOOL),
-    Field("run", "residual_norm", "residual_norm", _STR, _choice("processors", "unit")),
-    Field("run", "tie_break", "tie_break", _STR, _choice("random", "lowest")),
     Field("run", "out", "out_dir", _STR),
     Field("sac", "learning_rate", "learning_rate", _FLOAT, _positive),
     Field("sac", "batch_size", "batch_size", _INT),
@@ -358,21 +352,34 @@ def load_sweep_lists(path: str) -> tuple:
     return tuple(_get(parser, "sweep", key, kind[0]) for key, kind in SWEEP_FIELDS)
 
 
-def config_to_manifest(config: ExperimentConfig, sweep: Optional[dict] = None) -> str:
-    """Render the fully-resolved config as reproducible INI text."""
+def config_to_manifest(config: ExperimentConfig, sweep: Optional[tuple] = None) -> str:
+    """Render the fully-resolved config, and any (rates, policies, seeds) sweep
+    lists, as reproducible INI text."""
     blocks = []
     for section, rows in groupby(FIELDS, key=lambda row: row.section):
         owner = config.sac if section == "sac" else config
         blocks.append([f"[{section}]"] + [f"{row.key} = {row.kind[1](getattr(owner, row.attr))}"
                                           for row in rows])
     if sweep is not None:
-        blocks.append(["[sweep]"] + [f"{key} = {kind[1](sweep[key])}"
-                                     for key, kind in SWEEP_FIELDS])
+        blocks.append(["[sweep]"] + [f"{key} = {kind[1](values)}"
+                                     for (key, kind), values in zip(SWEEP_FIELDS, sweep)])
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
 # --------------------------------------------------------------------------
 # Running
+
+
+def _make_out_dir(out: str) -> None:
+    """Make ``out`` and delete what an earlier run or sweep wrote there, so that
+    it never mixes two runs; each run or sweep writes its own manifest.ini."""
+    os.makedirs(out, exist_ok=True)
+    for name in ("steps.csv", "episodes.csv", "cdf.csv", "table.csv", "checkpoints", "diverged"):
+        path = os.path.join(out, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -387,10 +394,9 @@ def build_policies(config: ExperimentConfig, topology: Topology, seed: int) -> l
     for lb in range(topology.lbs):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, lb)))
         if config.policy == "rlb-sac":
-            agent = SacAgent(topology.n_servers, config.sac, seed, lb_id=lb)
-            policy = SacPolicy(agent, tie_break=config.tie_break)
+            policy = SacPolicy(SacAgent(topology.n_servers, config.sac, seed, lb_id=lb))
         else:
-            policy = BASELINE_POLICIES[config.policy](tie_break=config.tie_break)
+            policy = BASELINE_POLICIES[config.policy]()
         policies.append(policy.bind(rng))
     return policies
 
@@ -420,11 +426,11 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
     policies = build_policies(config, topology, seed)
 
     def reward_fn(w):
-        return metrics.reward(w, config.reward_index, config.reward_literal)
+        return metrics.reward(w, config.reward_index)
 
     steps_fh = None
     if write_files:
-        os.makedirs(out, exist_ok=True)
+        _make_out_dir(out)
         _atomic_write(os.path.join(out, "manifest.ini"),
                       config_to_manifest(config))
         steps_fh = open(os.path.join(out, "steps.csv"), "w")
@@ -447,7 +453,6 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None,
                 step_interval=config.step_interval,
                 routing_rng=routing,
                 reward_fn=reward_fn,
-                residual_norm=config.residual_norm,
             )
             wall = time.perf_counter() - started
             summaries.append(_summarize(ep, trace, wall))
@@ -575,7 +580,7 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
                     "ok"))
 
     if write_files:
-        os.makedirs(out, exist_ok=True)
+        _make_out_dir(out)
         fmt = _fmt_float
         buf = ["policy,rate,fairness_index,avg_residual_workload,"
                "max_residual_workload,status"]
@@ -583,9 +588,8 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
                 f"{fmt(c.avg_residual_workload)},{fmt(c.max_residual_workload)},{c.status}"
                 for c in cells]
         _atomic_write(os.path.join(out, "table.csv"), "\n".join(buf) + "\n")
-        _atomic_write(os.path.join(out, "manifest.ini"), config_to_manifest(
-            config, sweep={"rates": list(rates), "policies": list(policies),
-                           "seeds": list(seeds)}))
+        _atomic_write(os.path.join(out, "manifest.ini"),
+                      config_to_manifest(config, sweep=(rates, policies, seeds)))
     return SweepResult(cells=cells, out_dir=out if write_files else None)
 
 

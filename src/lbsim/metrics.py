@@ -189,16 +189,14 @@ def bossaer(x: Sequence[float]) -> float:
 FAIRNESS_INDICES = {"jain": jain, "g": g_fairness, "bossaer": bossaer}
 
 
-def reward(w_tilde: Sequence[float], index: str = "jain", literal: bool = False) -> float:
+def reward(w_tilde: Sequence[float], index: str = "jain") -> float:
     """Fairness-based reward over per-server discounted-average completion times.
 
-    Default is F(w) - 1, which is <= 0 and maximal at perfect fairness, so a
-    return-maximizing learner is pushed toward even completion times.  With
-    ``literal=True`` the raw 1 - F(w) form is emitted instead for comparison.
+    F(w) - 1 is <= 0 and maximal at perfect fairness, so a return-maximizing
+    learner is pushed toward even completion times.
     """
     try:
         fn = FAIRNESS_INDICES[index]
     except KeyError:
         raise ValueError(f"unknown fairness index {index!r}") from None
-    f = fn(w_tilde)
-    return 1.0 - f if literal else f - 1.0
+    return fn(w_tilde) - 1.0

@@ -1,6 +1,6 @@
 """Minimal differentiable network core with exact analytic gradients.
 
-Dense layers (affine -> optional layer normalization -> activation), a
+Dense layers (affine -> optional layer normalization -> optional ReLU), a
 streaming input normalizer, tanh-squashed Gaussian sampling with exact
 log-probabilities, and an adaptive-moment optimizer.  Everything is plain
 float64 numpy; reverse-mode gradients are hand-derived and verified against
@@ -31,39 +31,21 @@ class DivergenceError(RuntimeError):
     """Non-finite gradients reached the optimizer."""
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, z: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return dy * (z > 0.0)
-    if name == "tanh":
-        return dy * (1.0 - y * y)
-    return dy
-
-
 class DenseLayer:
-    """Affine map with optional layer normalization and activation.
+    """Affine map with optional layer normalization and ReLU.
 
     The network that owns the layer makes the parameters ``w``, ``b`` (and
     ``gain``, ``shift``) and their gradients ``dw``, ``db`` (``dgain``,
     ``dshift``) views of its two flat vectors with ``bind``.
     """
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "linear",
+    def __init__(self, w: np.ndarray, b: np.ndarray, relu: bool = False,
                  layer_norm: bool = False):
         w = np.asarray(w, dtype=float)
         b = np.asarray(b, dtype=float)
         if w.ndim != 2 or b.shape != (w.shape[1],):
             raise ValueError(f"bad layer shapes w={w.shape} b={b.shape}")
-        self.activation = activation
+        self.relu = relu
         self.layer_norm = layer_norm
         self.w, self.b = w, b
         if layer_norm:
@@ -118,13 +100,12 @@ class DenseLayer:
             h += self.shift
         else:
             zhat = inv = None
-        y = _act(self.activation, h)
-        return y, (x, zhat, inv, h, y)
+        return (np.maximum(h, 0.0) if self.relu else h), (x, zhat, inv, h)
 
     def backward(self, cache, dy: np.ndarray, param_grads: bool = True) -> np.ndarray:
         """Input gradient; the parameter gradients go to the gradient views."""
-        x, zhat, inv, h, y = cache
-        dz = _act_grad(self.activation, h, y, dy)
+        x, zhat, inv, h = cache
+        dz = dy * (h > 0.0) if self.relu else dy
         if self.layer_norm:
             if param_grads:
                 (dz * zhat).sum(axis=0, out=self.dgain)
@@ -179,19 +160,14 @@ class DenseNet:
 
     @classmethod
     def build(cls, dims: Sequence[int], rng: np.random.Generator,
-              hidden_activation: str = "relu", out_activation: str = "linear",
               layer_norm: bool = True) -> "DenseNet":
-        """He-style random init; layer norm on hidden layers only."""
+        """He-style random init; ReLU and layer norm on hidden layers only."""
         layers = []
         for i in range(len(dims) - 1):
             last = i == len(dims) - 2
             w = rng.normal(0.0, 1.0 / math.sqrt(dims[i]), size=(dims[i], dims[i + 1]))
             b = np.zeros(dims[i + 1])
-            layers.append(DenseLayer(
-                w, b,
-                activation=out_activation if last else hidden_activation,
-                layer_norm=layer_norm and not last,
-            ))
+            layers.append(DenseLayer(w, b, relu=not last, layer_norm=layer_norm and not last))
         return cls(layers)
 
     @property

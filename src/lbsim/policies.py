@@ -133,19 +133,15 @@ class Policy:
     and may return new weights; ``on_episode_end`` once per episode after
     the clock reaches the episode duration.
 
-    Ties default to a seeded-random break: with integer processor counts the
+    Ties break at seeded random: with integer processor counts the
     score-based policies hit exact ties constantly (every SED-balanced state
     is one), and always picking the lowest index starves small servers at
-    light load.  Seeded streams keep runs bitwise reproducible; pass
-    ``tie_break="lowest"`` for the index rule.
+    light load.  Seeded streams keep runs bitwise reproducible.
     """
 
     name = "base"
     wants_observations = False
-
-    def __init__(self, tie_break: str = "random"):
-        self.tie_break = tie_break
-        self.rng: Optional[Draws] = None
+    rng: Optional[Draws] = None
 
     def bind(self, rng: np.random.Generator) -> "Policy":
         self.rng = Draws(rng)
@@ -182,14 +178,14 @@ class LsqPolicy(Policy):
     name = "lsq"
 
     def select(self, ctx):
-        return lsq(ctx, self.tie_break)
+        return lsq(ctx, "random")
 
 
 class SedPolicy(Policy):
     name = "sed"
 
     def select(self, ctx):
-        return sed(ctx, self.tie_break)
+        return sed(ctx, "random")
 
 
 BASELINE_POLICIES = {

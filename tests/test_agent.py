@@ -471,11 +471,10 @@ class TestEngineIntegration:
         for x, y in zip(a1.actor.params(), a2.actor.params()):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("index,literal", [("jain", False), ("bossaer", False),
-                                               ("jain", True)])
-    def test_transitions_carry_the_engine_reward(self, index, literal):
+    @pytest.mark.parametrize("index", ["jain", "bossaer"])
+    def test_transitions_carry_the_engine_reward(self, index):
         def reward_fn(w):
-            return metrics.reward(w, index, literal)
+            return metrics.reward(w, index)
 
         agent = SacAgent(2, SacConfig(batch_size=8, buffer_capacity=100), seed=6)
         by_definition = []

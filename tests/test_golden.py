@@ -66,7 +66,7 @@ BASELINE_RUNS = {
     "lsq-2lb-8s": replace(BASELINE, policy="lsq"),
     "sed-2lb-8s": replace(BASELINE, policy="sed"),
     "sed-1lb-2s": replace(BASELINE, **_preset("1lb-2s"), rate_fraction=0.9,
-                          distribution="identical", policy="sed", tie_break="random"),
+                          distribution="identical", policy="sed"),
 }
 
 BASELINE_SHA256 = {

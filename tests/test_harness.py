@@ -45,8 +45,6 @@ BAD_VALUES = {
     "episode_increment": (-0.5, NAN, INF),
     "seeds": ((-1,), (0, -3), (2, 2), (3, 1, 3)),
     "reward": ("fair",),
-    "residual_norm": ("none",),
-    "tie_break": ("lowst",),
     "learning_rate": (0.0, -1.0, NAN, INF),
     "gamma": (-0.1, 1.5, NAN),
     "tau": (0.0, 1.5, NAN),
@@ -155,8 +153,7 @@ class TestValidateConfig:
             lbs=2, servers=((3, 5), (1, 1)), rate_fraction=0.7,
             distribution="exponential", mean_workload=0.2, policy="lsq", episodes=3,
             step_interval=0.25, first_episode_duration=30.0, episode_increment=2.5,
-            seeds=(5, 6), reward_index="bossaer", reward_literal=True,
-            residual_norm="unit", tie_break="lowest", out_dir="elsewhere", sac=sac)
+            seeds=(5, 6), reward_index="bossaer", out_dir="elsewhere", sac=sac)
         # a field left at its default would round-trip even if the manifest
         # dropped it, so every field is moved away from its default
         for obj, default in ((config, ExperimentConfig()), (sac, SacConfig())):
@@ -172,9 +169,13 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match=r"\[trafic\]"):
             validate_config("[topology]\npreset = 1lb-2s\n[trafic]\nrate = 0.5\n")
         # keys of options removed before manifests were versioned load no more
-        for key in ("log_std_init = 0", "value_target_uses_guiding_actor = false"):
+        for section, key in (("sac", "log_std_init = 0"),
+                             ("sac", "value_target_uses_guiding_actor = false"),
+                             ("run", "reward_literal = false"),
+                             ("run", "residual_norm = processors"),
+                             ("run", "tie_break = random")):
             with pytest.raises(ConfigurationError, match="unknown key"):
-                validate_config(f"[topology]\npreset = 1lb-2s\n[sac]\n{key}\n")
+                validate_config(f"[topology]\npreset = 1lb-2s\n[{section}]\n{key}\n")
 
     def test_bad_values_cover_every_checked_row(self):
         assert set(BAD_VALUES) == {row.key for row in CHECKED_ROWS}
@@ -204,10 +205,10 @@ class TestValidateConfig:
 
     def test_first_bad_row_reported(self):
         text = ("[topology]\npreset = 1lb-2s\n[traffic]\nrate = 0\n"
-                "[run]\ntie_break = lowst\nseeds =\n[sac]\ntau = 0\n")
+                "[run]\nreward = fair\nseeds =\n[sac]\ntau = 0\n")
         with pytest.raises(ConfigurationError, match="rate must be positive"):
             validate_config(text)
-        with pytest.raises(ConfigurationError, match="unknown tie_break"):
+        with pytest.raises(ConfigurationError, match="unknown reward 'fair'"):
             validate_config(text.replace("rate = 0", "rate = 0.5"))
 
     def test_shipped_configs_validate(self):
@@ -217,6 +218,12 @@ class TestValidateConfig:
         assert len(paths) > 1
         for path in paths:
             load_config(path)
+        # the README's example config, copied verbatim
+        with open(os.path.join(root, "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        config, warnings = validate_config(block)
+        assert (config.policy, config.seeds, warnings) == ("rlb-sac", (2, 3, 4), [])
 
 
 class TestRunExperiment:
@@ -300,6 +307,47 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.traffic, "generate", spy)
         run_experiment(TINY, write_files=False)
         assert refcounts == [2]
+
+    def test_rerun_into_out_dir_leaves_no_earlier_checkpoint(self, tmp_path):
+        # a 1-LB run into a 2-LB run's directory used to keep checkpoints/lb1
+        out = str(tmp_path / "run")
+        config = replace(TINY, policy="rlb-sac", episodes=1, out_dir=out,
+                         sac=replace(TINY.sac, batch_size=8, buffer_capacity=64))
+        run_experiment(replace(config, lbs=2))
+        assert sorted(os.listdir(os.path.join(out, "checkpoints"))) == ["lb0", "lb1"]
+        run_experiment(config)
+        assert os.listdir(os.path.join(out, "checkpoints")) == ["lb0"]
+
+    def test_failed_rerun_leaves_no_earlier_artifact(self, tmp_path, monkeypatch):
+        # a run that raised used to leave its manifest and partial steps.csv
+        # next to the earlier run's episodes.csv, cdf.csv and checkpoints
+        out = str(tmp_path / "run")
+        run_experiment(replace(TINY, policy="rlb-sac", episodes=1, out_dir=out,
+                               sac=replace(TINY.sac, batch_size=8, buffer_capacity=64)))
+        real, calls = harness.run_episode, []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", flaky)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_experiment(replace(TINY, out_dir=out))
+        assert sorted(os.listdir(out)) == ["manifest.ini", "steps.csv"]
+        assert {row[0] for row in read_steps(os.path.join(out, "steps.csv"))} == {0}
+
+    def test_run_and_sweep_do_not_share_an_out_dir(self, tmp_path):
+        out = str(tmp_path / "out")
+        run_sweep(replace(TINY, out_dir=out), rates=[0.8], policies=["sed"], seeds=[0],
+                  workers=1)
+        run_experiment(replace(TINY, out_dir=out))
+        assert sorted(os.listdir(out)) == ["cdf.csv", "episodes.csv", "manifest.ini",
+                                           "steps.csv"]
+        run_sweep(replace(TINY, out_dir=out), rates=[0.8], policies=["sed"], seeds=[0],
+                  workers=1)
+        assert sorted(os.listdir(out)) == ["manifest.ini", "table.csv"]
 
     def test_csv_roundtrip_values(self, tmp_path):
         config = replace(TINY, out_dir=str(tmp_path / "run"))
@@ -474,6 +522,37 @@ class TestCli:
         assert cli.main(["validate", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "config ok" in out
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("rates", "abc", "cannot parse 'abc'"), ("policies", "lru", "unknown policy 'lru'"),
+        ("seeds", "-1", "seeds must be >= 0"), ("rates", "0.9,0.9", "0.9 repeats")],
+        ids=["rates=abc", "policies=lru", "seeds=-1", "rates=0.9,0.9"])
+    def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys, key, value, match):
+        lists = {"rates": "0.8", "policies": "sed", "seeds": "0", key: value}
+        path = self._write_config(
+            tmp_path, "[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in lists.items()))
+        out = str(tmp_path / "out")
+        assert cli.main(["validate", "--config", path]) == 1
+        assert cli.main(["sweep", "--config", path, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count(match) == 2
+        assert "config ok" not in captured.out
+        assert not os.path.exists(out)
+
+    def test_validate_echoes_sweep_lists(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        run_sweep(replace(TINY, out_dir=out), rates=[0.6, 0.8], policies=["sed", "lsq"],
+                  seeds=[0, 1], workers=1)
+        manifest = os.path.join(out, "manifest.ini")
+        assert cli.main(["validate", "--config", manifest]) == 0
+        with open(manifest) as fh:
+            assert capsys.readouterr().out == "config ok\n" + fh.read()
+        # a list left out falls back to the config's own policy, rate or seeds
+        path = self._write_config(tmp_path, "[sweep]\nrates = 0.5,0.7\n")
+        assert cli.main(["validate", "--config", path]) == 0
+        echo = capsys.readouterr().out
+        assert echo.endswith("[sweep]\nrates = 0.5,0.69999999999999996\n"
+                             "policies = sed\nseeds = 0\n")
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli.main(["validate", "--config", str(tmp_path / "nope.ini")]) == 1

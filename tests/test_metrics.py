@@ -260,7 +260,7 @@ class TestNumpyReplay:
         assert _bits(jain(values)) == _bits(want_jain)
         assert _bits(bossaer(values)) == _bits(want_bossaer)
         assert _bits(reward(values, "jain")) == _bits(want_jain - 1.0)
-        assert _bits(reward(values, "bossaer", literal=True)) == _bits(1.0 - want_bossaer)
+        assert _bits(reward(values, "bossaer")) == _bits(want_bossaer - 1.0)
 
     def test_indices_take_arrays_and_ints(self):
         values = [3, 1, 4, 1, 5, 9, 2, 6, 5]
@@ -284,10 +284,6 @@ class TestReward:
         assert reward([0.2, 0.2], "jain") == 0.0
         assert abs(reward([1.0, 3.0], "jain") - (-0.2)) < 1e-12
         assert abs(reward([1.0, 2.0], "bossaer") - (-0.5)) < 1e-12
-
-    def test_literal_variant(self):
-        assert abs(reward([1.0, 3.0], "jain", literal=True) - 0.2) < 1e-12
-        assert reward([5.0, 5.0], "g", literal=True) == 0.0
 
     def test_unknown_index(self):
         with pytest.raises(ValueError):
