@@ -197,23 +197,29 @@ class ActorNet:
         return self.lb_enc.params() + self.srv_enc.params() + self.head.params()
 
     def _embed(self, obs: np.ndarray, action: Optional[np.ndarray]) -> np.ndarray:
-        B = obs.shape[0]
-        x_lb = obs[:, :self.lb_dim]
-        x_srv = obs[:, self.lb_dim:].reshape(B * self.n, self.srv_dim)
-        e_lb = self.lb_enc.forward(x_lb)
-        e_srv = self.srv_enc.forward(x_srv)
-        tiled = np.repeat(e_lb, self.n, axis=0)
-        cols = [tiled, e_srv]
+        """The head input, one row per (sample, server): the LB embedding,
+        the server's embedding, then the server's action if one is given."""
+        B, n, h = obs.shape[0], self.n, self.hidden
+        head_in = np.empty((B, n, self.head.in_dim))
+        head_in[:, :, :h] = self.lb_enc.forward(obs[:, :self.lb_dim])[:, None, :]
+        head_in[:, :, h:2 * h] = self.srv_enc.forward(
+            obs[:, self.lb_dim:].reshape(B * n, self.srv_dim)).reshape(B, n, h)
         if action is not None:
-            cols.append(action.reshape(B * self.n, 1))
+            head_in[:, :, -1] = action.reshape(B, n)
         self._batch = B
-        return np.concatenate(cols, axis=1)
+        return head_in.reshape(B * n, -1)
 
     def _unwind(self, d_head_in: np.ndarray) -> None:
         h = self.hidden
         B = self._batch
         self.srv_enc.backward(d_head_in[:, h:2 * h])
-        self.lb_enc.backward(d_head_in[:, :h].reshape(B, self.n, h).sum(axis=1))
+        self.lb_enc.backward(np.add.reduce(d_head_in[:, :h].reshape(B, self.n, h), axis=1))
+
+    def release(self) -> None:
+        """Drop the activations the last forward kept for a backward pass."""
+        for net in (self.lb_enc, self.srv_enc, self.head):
+            net.release()
+        self._ls_squash = None
 
     def forward(self, obs: np.ndarray):
         """Per-server Gaussian parameters: (mean, bounded log_std), each (B, n).
@@ -258,7 +264,7 @@ class CriticNet(ActorNet):
 
     def forward(self, obs: np.ndarray, action: np.ndarray):
         out = self.head.forward(self._embed(obs, action))
-        return out.reshape(self._batch, self.n).sum(axis=1)
+        return np.add.reduce(out.reshape(self._batch, self.n), axis=1)
 
     def backward(self, d_q: np.ndarray) -> np.ndarray:
         """Parameter gradients, written to and returned as ``grad``."""
@@ -354,13 +360,16 @@ class SacAgent:
 
     def _act(self, obs: np.ndarray) -> np.ndarray:
         mean, log_std = self.actor.forward(self.normalizer.normalize(obs[None, :]))
+        self.actor.release()
         noise = self.noise_rng.standard_normal(self.n)
         action, _ = nets.gaussian_head_sample(mean[0], log_std[0], noise)
         return action
 
     # -- gradient updates --------------------------------------------------
     # The update methods take a batch whose state and next_state are already
-    # normalized; train_step normalizes each sampled batch once.
+    # normalized; train_step normalizes each sampled batch once.  A net's
+    # forward cache is released as soon as no backward pass will read it, so
+    # an agent holds no activations between updates.
 
     def train_step(self) -> None:
         batch = self.buffer.sample(self.config.batch_size)
@@ -377,6 +386,8 @@ class SacAgent:
             if self.dump_dir is not None:
                 self.save_checkpoint(os.path.join(self.dump_dir, "diverged"))
             raise
+        finally:
+            self.critic.release()  # read by the actor update's backward
         self.total_updates += 1
 
     def critic_targets(self, batch: Batch, noise: Optional[np.ndarray] = None) -> np.ndarray:
@@ -384,8 +395,10 @@ class SacAgent:
         if noise is None:
             noise = self.noise_rng.standard_normal((len(batch), self.n))
         mean2, log_std2 = self.actor.forward(batch.next_state)
+        self.actor.release()
         a2, logp2 = nets.gaussian_head_sample(mean2, log_std2, noise)
         q_next = self.guiding_critic.forward(batch.next_state, a2)
+        self.guiding_critic.release()
         return batch.reward + self.config.gamma * (1.0 - batch.done) * (
             q_next - self.alpha * logp2)
 
@@ -399,6 +412,7 @@ class SacAgent:
     def critic_update(self, batch: Batch) -> float:
         """One squared-error step of the critic toward the frozen targets."""
         loss, grad = self.critic_loss_grads(batch, self.critic_targets(batch))
+        self.critic.release()
         self.critic_opt.step(grad)
         return loss
 
@@ -424,6 +438,7 @@ class SacAgent:
         """Reparameterized policy step minimizing alpha*logpi - Q."""
         noise = self.noise_rng.standard_normal((len(batch), self.n))
         loss, grad = self.actor_loss_grads(batch, noise)
+        self.actor.release()
         self.actor_opt.step(grad)
         return loss
 
@@ -431,6 +446,7 @@ class SacAgent:
         """Tune the temperature toward the target entropy; returns new alpha."""
         noise = self.noise_rng.standard_normal((len(batch), self.n))
         mean, log_std = self.actor.forward(batch.state)
+        self.actor.release()
         _, logp = nets.gaussian_head_sample(mean, log_std, noise)
         self.alpha_opt.step(np.array([-float(np.mean(logp + self.target_entropy))]))
         return self.alpha

@@ -52,16 +52,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config, _ = harness.load_config(args.config)
-    manifest_rates, manifest_policies, manifest_seeds = harness.load_sweep_lists(args.config)
     try:
-        rates = harness.float_list(args.rates) if args.rates else manifest_rates
-        policies = harness.str_list(args.policies) if args.policies else manifest_policies
-        seeds = harness.int_list(args.seeds) if args.seeds else manifest_seeds
+        flags = (harness.float_list(args.rates) if args.rates else None,
+                 harness.str_list(args.policies) if args.policies else None,
+                 harness.int_list(args.seeds) if args.seeds else None)
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse a --rates/--seeds list: {exc}") from exc
-    if not rates or not policies or not seeds:
+    lists = harness.sweep_lists(args.config, config, flags)
+    if lists is None:
         raise ConfigurationError(
             "sweep needs --rates/--policies/--seeds or a [sweep] section in the config")
+    rates, policies, seeds = lists
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     _warn(_cell_warnings(config, rates, policies, seeds))
@@ -76,13 +77,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, warnings = harness.load_config(args.config)
-    sweep = harness.load_sweep_lists(args.config)
-    if sweep == (None, None, None):
-        sweep = None
-    else:
-        # checked as `lbsim sweep` checks them; a list left out is the config's own
-        own = ((config.rate_fraction,), (config.policy,), config.seeds)
-        sweep = tuple(mine if given is None else given for given, mine in zip(sweep, own))
+    sweep = harness.sweep_lists(args.config, config)
+    if sweep is not None:  # checked as `lbsim sweep` checks them
         warnings = _cell_warnings(config, *sweep)
     _warn(warnings)
     print("config ok")

@@ -352,6 +352,22 @@ def load_sweep_lists(path: str) -> tuple:
     return tuple(_get(parser, "sweep", key, kind[0]) for key, kind in SWEEP_FIELDS)
 
 
+def sweep_lists(path: str, config: ExperimentConfig,
+                flags: tuple = (None, None, None)) -> Optional[tuple]:
+    """The (rates, policies, seeds) a sweep of the config at ``path`` runs.
+
+    Each list comes from its entry of ``flags``, else from the config's
+    [sweep] section, else it is the config's own rate, policy or seeds.
+    None when neither gives any list.
+    """
+    given = tuple(listed if flag is None else flag
+                  for flag, listed in zip(flags, load_sweep_lists(path)))
+    if given == (None, None, None):
+        return None
+    own = ((config.rate_fraction,), (config.policy,), config.seeds)
+    return tuple(mine if listed is None else listed for listed, mine in zip(given, own))
+
+
 def config_to_manifest(config: ExperimentConfig, sweep: Optional[tuple] = None) -> str:
     """Render the fully-resolved config, and any (rates, policies, seeds) sweep
     lists, as reproducible INI text."""
@@ -597,34 +613,36 @@ def run_sweep(config: ExperimentConfig, rates: Sequence[float],
 # CSV readers (round-trip support)
 
 
-def read_csv(path: str) -> tuple:
-    """Read one of the harness's CSVs: returns (header, rows of strings)."""
+def read_csv(path: str, convert: Callable = list) -> tuple:
+    """Read one of the harness's CSVs: returns (header, rows).  Blank lines
+    are skipped.  Each row's list of strings is passed through ``convert``
+    as soon as its line is read, so the file is never held as strings."""
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = lines[0].split(",")
-    width = len(header)
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",", width - 1)
-        if len(cells) != width:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(cells)
+        lines = (line.rstrip("\n") for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no header row")
+        header = first.split(",")
+        width = len(header)
+        rows = []
+        for line in lines:
+            cells = line.split(",", width - 1)
+            if len(cells) != width:
+                raise ValueError(f"{path}: malformed row {line!r}")
+            rows.append(convert(cells))
     return header, rows
 
 
 def read_steps(path: str) -> list:
-    _, rows = read_csv(path)
-    return [(int(r[0]), float(r[1]), int(r[2]), int(r[3]), float(r[4]),
-             int(r[5]), float(r[6]), float(r[7])) for r in rows]
+    return read_csv(path, lambda r: (int(r[0]), float(r[1]), int(r[2]), int(r[3]),
+                                     float(r[4]), int(r[5]), float(r[6]), float(r[7])))[1]
 
 
 def read_episodes(path: str) -> list:
-    _, rows = read_csv(path)
-    return [EpisodeSummary(int(r[0]), float(r[1]), float(r[2]), float(r[3]),
-                           float(r[4]), float(r[5])) for r in rows]
+    return read_csv(path, lambda r: EpisodeSummary(int(r[0]), float(r[1]), float(r[2]),
+                                                   float(r[3]), float(r[4]), float(r[5])))[1]
 
 
 def read_table(path: str) -> list:
-    _, rows = read_csv(path)
-    return [(r[0], float(r[1]), float(r[2]), float(r[3]), float(r[4]), r[5])
-            for r in rows]
+    return read_csv(path, lambda r: (r[0], float(r[1]), float(r[2]), float(r[3]),
+                                     float(r[4]), r[5]))[1]

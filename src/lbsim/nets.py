@@ -91,8 +91,8 @@ class DenseLayer:
         h += self.b
         if self.layer_norm:
             d = h.shape[-1]
-            h -= h.sum(axis=-1, keepdims=True) / d
-            var = (h * h).sum(axis=-1, keepdims=True) / d
+            h -= np.add.reduce(h, axis=-1, keepdims=True) / d
+            var = np.add.reduce(h * h, axis=-1, keepdims=True) / d
             inv = 1.0 / np.sqrt(var + LN_EPS)
             h *= inv
             zhat = h
@@ -100,7 +100,10 @@ class DenseLayer:
             h += self.shift
         else:
             zhat = inv = None
-        return (np.maximum(h, 0.0) if self.relu else h), (x, zhat, inv, h)
+        if self.relu:
+            # in place: the backward mask h > 0 is the same before and after
+            np.maximum(h, 0.0, out=h)
+        return h, (x, zhat, inv, h)
 
     def backward(self, cache, dy: np.ndarray, param_grads: bool = True) -> np.ndarray:
         """Input gradient; the parameter gradients go to the gradient views."""
@@ -108,19 +111,19 @@ class DenseLayer:
         dz = dy * (h > 0.0) if self.relu else dy
         if self.layer_norm:
             if param_grads:
-                (dz * zhat).sum(axis=0, out=self.dgain)
-                dz.sum(axis=0, out=self.dshift)
+                np.add.reduce(dz * zhat, axis=0, out=self.dgain)
+                np.add.reduce(dz, axis=0, out=self.dshift)
             dz = dz * self.gain
             d = dz.shape[-1]
-            m1 = dz.sum(axis=-1, keepdims=True) / d
-            m2 = (dz * zhat).sum(axis=-1, keepdims=True) / d
+            m1 = np.add.reduce(dz, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(dz * zhat, axis=-1, keepdims=True) / d
             # dz = inv * (dzhat - m1 - zhat * m2)
             dz -= m1
             dz -= zhat * m2
             dz *= inv
         if param_grads:
             np.matmul(x.T, dz, out=self.dw)
-            dz.sum(axis=0, out=self.db)
+            np.add.reduce(dz, axis=0, out=self.db)
         return dz @ self.w.T
 
 
@@ -193,6 +196,11 @@ class DenseNet:
             caches.append(cache)
         self._cache = (squeeze, caches)
         return h[0] if squeeze else h
+
+    def release(self) -> None:
+        """Drop the forward cache.  Only a backward pass reads it, and
+        ``backward`` keeps it, so it lives until the next forward or this."""
+        self._cache = None
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True):
         """Gradients of sum(upstream * output) w.r.t. input and params.

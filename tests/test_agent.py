@@ -589,6 +589,48 @@ class TestFlatParameters:
         assert agent.guiding_critic.flat.tobytes() == np.concatenate(expected).tobytes()
 
 
+class TestActivationLifetime:
+    """A forward cache lives only until the backward pass that reads it."""
+
+    @staticmethod
+    def _cached(agent):
+        nets_ = {f"{name}.{part}": getattr(getattr(agent, name), part)
+                 for name in ("actor", "critic", "guiding_critic")
+                 for part in ("lb_enc", "srv_enc", "head")}
+        return sorted(name for name, net in nets_.items() if net._cache is not None)
+
+    @pytest.mark.parametrize("call", ["train_step", "critic_targets", "alpha_update", "_act"])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_no_cache_outlives_its_pass(self, n, call):
+        agent = tiny_agent(n=n, hidden=8, seed=3)
+        rng = np.random.default_rng(30)
+        for _ in range(agent.config.batch_size):
+            obs = rng.normal(size=agent.obs_dim)
+            agent.normalizer.update(obs)
+            agent.buffer.push(obs, rng.uniform(-0.9, 0.9, n), rng.normal(),
+                              rng.normal(size=agent.obs_dim), False)
+        batch = random_batch(agent, 5, rng)
+        args = {"train_step": (), "critic_targets": (batch,), "alpha_update": (batch,),
+                "_act": (rng.normal(size=agent.obs_dim),)}[call]
+        assert self._cached(agent) == []
+        getattr(agent, call)(*args)
+        assert self._cached(agent) == []
+        # a pass that a backward reads keeps its cache until released
+        agent.critic_loss_grads(batch, np.zeros(5))
+        assert self._cached(agent) == ["critic.head", "critic.lb_enc", "critic.srv_enc"]
+
+    def test_head_input_matches_repeat_and_concatenate(self):
+        agent = tiny_agent(n=3, hidden=8, seed=6)
+        batch = random_batch(agent, 5, np.random.default_rng(31))
+        critic = agent.critic
+        head_in = critic._embed(batch.state, batch.action)
+        e_lb = critic.lb_enc.forward(batch.state[:, :5])
+        e_srv = critic.srv_enc.forward(batch.state[:, 5:].reshape(15, -1))
+        expected = np.concatenate(
+            [np.repeat(e_lb, 3, axis=0), e_srv, batch.action.reshape(15, 1)], axis=1)
+        assert head_in.tobytes() == expected.tobytes()
+
+
 class TestResume:
     TOPO = Topology(1, ((4, 8), (2, 4)))
     CONFIG = SacConfig(batch_size=8, buffer_capacity=24, hidden=8)

@@ -362,6 +362,18 @@ class TestRunExperiment:
         assert values == sorted(values)
         assert float(rows[-1][1]) == 1.0
 
+    def test_csv_blank_lines_and_malformed_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,2,3\n\n4,5,6,7\n")
+        # the last column keeps any further commas
+        assert read_csv(str(path)) == (["a", "b", "c"], [["1", "2", "3"], ["4", "5", "6,7"]])
+        path.write_text("a,b,c\n1,2,3\n4,5\n")
+        with pytest.raises(ValueError, match=r"malformed row '4,5'"):
+            read_csv(str(path))
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="no header row"):
+            read_csv(str(path))
+
 
 class TestSweep:
     def test_single_cell_equals_run(self, tmp_path):
@@ -574,6 +586,22 @@ class TestCli:
     def test_sweep_requires_lists(self, tmp_path):
         path = self._write_config(tmp_path)
         assert cli.main(["sweep", "--config", path]) == 1
+
+    @pytest.mark.parametrize("extra, flags", [
+        ("[sweep]\nrates = 0.6,0.8\n", []), ("", ["--rates", "0.6,0.8"])],
+        ids=["sweep-section", "flag"])
+    def test_sweep_fills_missing_lists_from_the_config(self, tmp_path, monkeypatch,
+                                                       extra, flags):
+        # as `validate` echoes it: a list given neither way is the config's own
+        monkeypatch.setenv("LBSIM_WORKERS", "1")
+        path = self._write_config(tmp_path, extra)
+        out = str(tmp_path / "out")
+        assert cli.main(["sweep", "--config", path, "--out", out] + flags) == 0
+        table = read_table(os.path.join(out, "table.csv"))
+        assert [(row[0], row[1], row[5]) for row in table] == [
+            ("sed", 0.6, "ok"), ("sed", 0.8, "ok")]
+        rates, policies, seeds = harness.load_sweep_lists(os.path.join(out, "manifest.ini"))
+        assert (rates, policies, seeds) == ((0.6, 0.8), ("sed",), (0,))
 
     def test_malformed_list_flag_is_config_error(self, tmp_path):
         path = self._write_config(tmp_path)

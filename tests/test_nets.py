@@ -130,6 +130,15 @@ class TestBackward:
         with pytest.raises(GradientError):
             net.backward(np.ones(2))
 
+    def test_backward_after_release(self):
+        rng = np.random.default_rng(4)
+        net = DenseNet.build([3, 4, 2], rng)
+        net.forward(rng.normal(size=(2, 3)))
+        net.backward(np.ones((2, 2)))  # a backward keeps the cache
+        net.release()
+        with pytest.raises(GradientError):
+            net.backward(np.ones((2, 2)))
+
     @pytest.mark.parametrize("dims,norm", [
         ([4, 8, 3], True),
         ([4, 8, 3], False),
